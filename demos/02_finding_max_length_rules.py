@@ -3,9 +3,11 @@ Finding every maximum-length rule vector
 ========================================
 
 The search is brutally simple: try all 2^n diagonals, compute each
-characteristic polynomial, and keep the primitive ones. Two cheap
-filters (even coefficient count, zero constant term) reject most
-candidates before the order test ever runs.
+characteristic polynomial, and keep the primitive ones. The primitive
+polynomials of degree n are listed once up front, so each diagonal
+costs one set lookup; the stats still show how many fell to the even
+coefficient count and the zero constant term, which no primitive
+polynomial has.
 """
 
 from maxca import (

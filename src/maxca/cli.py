@@ -51,7 +51,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--format", choices=["paper", "tsv"], default="paper",
                    help="two-column table or TSV with header")
     p.add_argument("--jobs", type=int, default=os.cpu_count() or 1,
-                   help="worker processes (output is identical regardless)")
+                   help="worker processes, at most one per CPU (output is identical regardless)")
     p.add_argument("--force", action="store_true",
                    help="allow n beyond the exhaustive-mode cap")
 

@@ -2,20 +2,23 @@
 
 Scans every one of the 2^n main diagonals of the tridiagonal transition
 matrix, computes the characteristic polynomial, and keeps the diagonals
-whose polynomial is primitive. Two cheap rejection filters run first:
-even coefficient weight and zero constant term, neither of which a
-primitive polynomial can have. The expensive order test only sees the
-survivors.
+whose polynomial is in the set of primitive polynomials of degree n.
+That set is built once, by decimation (`enumerate_primitive`), so no
+order test runs per diagonal. The scan still counts how the diagonals
+fall through the cascade: even coefficient weight, zero constant term
+(neither possible for a primitive polynomial), not in the set, hit.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
+import os
 from dataclasses import dataclass
 
 from .charpoly import RuleVector, _charpoly_bits, reverse
 from .gf2poly import Gf2Poly, format_poly
-from .primitivity import factorize_mersenne, is_primitive
+# factorize_mersenne is not called here; it stays bound because
+# perfbench/layertrace.py wraps maxca.enumerator's names, this one too.
+from .primitivity import enumerate_primitive, factorize_mersenne, is_primitive
 
 __all__ = [
     "EXHAUSTIVE_CAP",
@@ -66,19 +69,50 @@ def _check_n(n: int, force: bool) -> None:
         )
 
 
-def _scan_range(n: int, start: int, stop: int) -> list[tuple[int, int]]:
-    # Survivors in [start, stop) as (diagonal mask, polynomial bits).
-    f = factorize_mersenne(n)
-    out = []
+def _primitive_set(n: int) -> frozenset[int]:
+    return frozenset(p.bits for p in enumerate_primitive(n))
+
+
+def _scan_range(
+    n: int, start: int, stop: int, targets: frozenset[int]
+) -> tuple[list[tuple[int, int]], tuple[int, int, int]]:
+    # Diagonals in [start, stop) whose polynomial is in targets, as
+    # (diagonal mask, polynomial bits), and the cascade counts (even
+    # weight, zero constant, not in targets) of the rest.
+    even_weight = zero_constant = missed = 0
+    hits = []
     for mask in range(start, stop):
         bits = _charpoly_bits(mask, n)
         if bits.bit_count() % 2 == 0:
-            continue
-        if bits & 1 == 0:
-            continue
-        if is_primitive(Gf2Poly(bits), f):
-            out.append((mask, bits))
-    return out
+            even_weight += 1
+        elif bits & 1 == 0:
+            zero_constant += 1
+        elif bits not in targets:
+            missed += 1
+        else:
+            hits.append((mask, bits))
+    return hits, (even_weight, zero_constant, missed)
+
+
+def _scan(
+    n: int, targets: frozenset[int], jobs: int = 1
+) -> tuple[list[tuple[int, int]], tuple[int, int, int]]:
+    # All 2^n diagonals, split over at most one worker process per CPU.
+    total = 1 << n
+    workers = min(jobs, os.cpu_count() or 1)
+    if workers == 1 or total < 4 * workers:
+        return _scan_range(n, 0, total, targets)
+    from concurrent.futures import ProcessPoolExecutor
+
+    chunk = -(-total // workers)
+    starts = range(0, total, chunk)
+    stops = [min(lo + chunk, total) for lo in starts]
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        parts = list(
+            pool.map(_scan_range, [n] * len(starts), starts, stops, [targets] * len(starts))
+        )
+    hits = [hit for part, _ in parts for hit in part]
+    return hits, tuple(map(sum, zip(*(counts for _, counts in parts))))
 
 
 def _rv_sort_key(mask: int, n: int) -> int:
@@ -93,23 +127,16 @@ def _rv_sort_key(mask: int, n: int) -> int:
 def enumerate_maxlen(n: int, *, jobs: int = 1, force: bool = False) -> list[MaxLenEntry]:
     """Every n-cell maximum-length rule vector with its polynomial.
 
-    Output is sorted by (polynomial binary value, rule-vector text
-    value) and is identical regardless of jobs.
+    One scan of the 2^n diagonals against the set of primitive
+    polynomials of degree n, which is built once, before the scan and
+    in this process. jobs > 1 splits the scan over worker processes,
+    at most one per CPU. Output is sorted by (polynomial binary value,
+    rule-vector text value) and is identical regardless of jobs.
     """
     _check_n(n, force)
     if jobs < 1:
         raise ValueError("jobs must be >= 1")
-    total = 1 << n
-    if jobs == 1 or total < 4 * jobs:
-        hits = _scan_range(n, 0, total)
-    else:
-        chunk = -(-total // jobs)
-        bounds = [(lo, min(lo + chunk, total)) for lo in range(0, total, chunk)]
-        hits = []
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            futures = [pool.submit(_scan_range, n, lo, hi) for lo, hi in bounds]
-            for fut in futures:
-                hits.extend(fut.result())
+    hits, _ = _scan(n, _primitive_set(n), jobs)
     hits.sort(key=lambda t: (t[1], _rv_sort_key(t[0], n)))
     return [
         MaxLenEntry(n=n, rule_vector=RuleVector.from_mask(mask, n), polynomial=Gf2Poly(bits))
@@ -127,35 +154,22 @@ def rule_vectors_for(p: Gf2Poly, *, force: bool = False) -> list[RuleVector]:
         raise ValueError(f"{format_poly(p)} is not primitive")
     n = p.degree
     _check_n(n, force)
-    found = [
-        RuleVector.from_mask(mask, n)
-        for mask in range(1 << n)
-        if _charpoly_bits(mask, n) == p.bits
-    ]
-    found.sort(key=lambda rv: _rv_sort_key(rv.mask, n))
-    return found
+    hits, _ = _scan(n, frozenset((p.bits,)))
+    return sorted(
+        (RuleVector.from_mask(mask, n) for mask, _ in hits),
+        key=lambda rv: _rv_sort_key(rv.mask, n),
+    )
 
 
 def filter_stats(n: int, *, force: bool = False) -> FilterStats:
     """Count how many diagonals each rejection step removed."""
     _check_n(n, force)
-    f = factorize_mersenne(n)
-    even_weight = zero_constant = not_primitive = survivors = 0
-    for mask in range(1 << n):
-        bits = _charpoly_bits(mask, n)
-        if bits.bit_count() % 2 == 0:
-            even_weight += 1
-        elif bits & 1 == 0:
-            zero_constant += 1
-        elif not is_primitive(Gf2Poly(bits), f):
-            not_primitive += 1
-        else:
-            survivors += 1
+    hits, (even_weight, zero_constant, not_primitive) = _scan(n, _primitive_set(n))
     return FilterStats(
         n=n,
         total=1 << n,
         even_weight=even_weight,
         zero_constant=zero_constant,
         not_primitive=not_primitive,
-        survivors=survivors,
+        survivors=len(hits),
     )

@@ -4,11 +4,13 @@ A degree-n polynomial is primitive when it is irreducible and the order
 of x modulo the polynomial is the full 2^n - 1. The order test needs the
 prime factorization of 2^n - 1, which trial division delivers instantly
 at the supported sizes (n <= 32). Nothing is looked up: the list of
-primitive polynomials for any n is generated on demand.
+primitive polynomials for any n is generated on demand, by decimating
+the m-sequence of the least one.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -148,23 +150,101 @@ def primitive_count(n: int) -> int:
     return factorize_mersenne(n).euler_phi() // n
 
 
+def _m_sequence(p: int, n: int) -> bytes:
+    # One period (2^n - 1 bits) of the sequence with characteristic
+    # polynomial p, from the impulse seed, packed LSB-first. Over GF(2),
+    # p(x)^B = p(x^B) for B a power of two, so every sequence that obeys
+    # p also obeys s[i + n*B] = XOR of s[i + j*B] over the terms x^j of p
+    # below x^n: once n*B bits are known, the next B bits come from a
+    # few big-int shifts.
+    period = (1 << n) - 1
+    lags = [n - j for j in range(n) if (p >> j) & 1]
+    seq, known = 1, n
+    while known < period:
+        block = 1 << ((known // n).bit_length() - 1)
+        nxt = 0
+        for lag in lags:
+            nxt ^= seq >> (known - lag * block)
+        seq |= (nxt & ((1 << block) - 1)) << known
+        known += block
+    seq &= (1 << period) - 1
+    return seq.to_bytes((period + 7) // 8, "little")
+
+
+def _berlekamp_massey(bits) -> int:
+    """Characteristic polynomial of the shortest linear recurrence that
+    generates the 0/1 sequence `bits`, as coefficient bits.
+
+    A sequence of linear complexity L is pinned down by its first 2L
+    terms. The all-zero sequence gives 1 (degree 0).
+    """
+    conn, prev, length, gap, window = 1, 1, 0, 1, 0
+    for i, bit in enumerate(bits):
+        # Bit j of window is s[i - j]; bit j of conn is the connection
+        # coefficient c_j, so the discrepancy is their dot product.
+        window = (window << 1) | bit
+        if (conn & window).bit_count() & 1:
+            if 2 * length <= i:
+                conn, prev = conn ^ (prev << gap), conn
+                length, gap = i + 1 - length, 1
+                continue
+            conn ^= prev << gap
+        gap += 1
+    # x^L * C(1/x): the connection polynomial read backwards.
+    return int(format(conn, f"0{length + 1}b")[::-1], 2)
+
+
+def _coset_leaders(n: int):
+    # Smallest member of each cyclotomic coset {k * 2^j mod 2^n - 1} of
+    # size n: multiplying by 2 rotates k's n-bit pattern, so these are
+    # the binary Lyndon words of length n (Duval's generator, O(n)
+    # memory), in ascending order.
+    word = [0]
+    while word:
+        if len(word) == n:
+            yield int("".join(map(str, word)), 2)
+        m = len(word)
+        while len(word) < n:
+            word.append(word[len(word) - m])
+        while word and word[-1] == 1:
+            word.pop()
+        if word:
+            word[-1] = 1
+
+
 def enumerate_primitive(n: int) -> list[Gf2Poly]:
     """All primitive polynomials of degree n, ascending by binary value.
 
-    Candidates are restricted to odd weight with nonzero constant term,
-    which every primitive polynomial satisfies; each survivor then takes
-    the full order test.
+    Generated by decimation, not by filtering candidates. The least
+    primitive p0 takes a few order tests; its m-sequence s then holds
+    every other primitive polynomial: for each k coprime to 2^n - 1,
+    the decimation s[k*i mod (2^n - 1)] is an m-sequence whose minimal
+    polynomial is primitive, Berlekamp-Massey recovers it from 2n
+    terms, and each cyclotomic coset of k gives a distinct polynomial.
+    Working memory is one bit-packed period, (2^n - 1)/8 bytes, next
+    to the result list.
     """
     if not 2 <= n <= MAX_FACTOR_N:
         raise ValueError(f"n must be in 2..{MAX_FACTOR_N}, got {n}")
     f = factorize_mersenne(n)
+    period = f.value
+    p0 = next(
+        bits
+        for bits in range((1 << n) | 1, 1 << (n + 1), 2)
+        if bits.bit_count() % 2 == 1 and is_primitive(Gf2Poly(bits), f)
+    )
+    seq = _m_sequence(p0, n)
     found = []
-    hi_lo = (1 << n) | 1
-    for inner in range(1 << (n - 1)):
-        bits = hi_lo | (inner << 1)
-        if bits.bit_count() % 2 == 0:
+    for k in _coset_leaders(n):
+        if math.gcd(k, period) != 1:
             continue
-        p = Gf2Poly(bits)
-        if is_primitive(p, f):
-            found.append(p)
-    return found
+        decimated = []
+        idx = 0
+        for _ in range(2 * n):
+            decimated.append((seq[idx >> 3] >> (idx & 7)) & 1)
+            idx += k
+            if idx >= period:
+                idx -= period
+        found.append(_berlekamp_massey(decimated))
+    found.sort()
+    return [Gf2Poly(bits) for bits in found]

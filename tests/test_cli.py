@@ -1,5 +1,6 @@
 """Command line surface: outputs, exit codes, and stream formats."""
 
+import hashlib
 import subprocess
 import sys
 
@@ -54,6 +55,16 @@ class TestEnum:
         code, _, err = run_main(capsys, "enum", "--n", "25")
         assert code == 2
         assert err.count("\n") == 1
+
+    def test_n18_tsv_digest(self, capsys):
+        # Recorded from the per-diagonal order-test scan, before the
+        # primitive set came from decimation.
+        code, out, _ = run_main(capsys, "enum", "--n", "18", "--format", "tsv", "--jobs", "1")
+        assert code == 0
+        assert out.count("\n") == 15553
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "f3425166fadd63f63f199e71b05731a42fef63d03e06f764757b6055a738e754"
+        )
 
     def test_jobs_byte_identical(self):
         one = run_proc("enum", "--n", "10", "--jobs", "1")
@@ -174,6 +185,15 @@ class TestVerifyTables:
 
 
 class TestPrimpolyList:
+    def test_n18_digest(self, capsys):
+        # Recorded from the odd-weight candidate filter.
+        code, out, _ = run_main(capsys, "primpoly-list", "--n", "18")
+        assert code == 0
+        assert out.count("\n") == 7776
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "91d19172f081e709ba581d940e61c4d2284a3e1de6ab17079a6426dbde660905"
+        )
+
     def test_n5(self, capsys):
         code, out, _ = run_main(capsys, "primpoly-list", "--n", "5")
         assert code == 0

@@ -1,6 +1,11 @@
 """Exhaustive search: table reproduction, filter soundness, mirror
 closure, and agreement with raw simulation."""
 
+import concurrent.futures
+import os
+import subprocess
+import sys
+
 import pytest
 
 from maxca.automaton import cycle_length_from, unit_seed
@@ -13,7 +18,7 @@ from maxca.enumerator import (
     rule_vectors_for,
 )
 from maxca.gf2poly import format_poly, parse_poly, weight
-from maxca.primitivity import is_primitive, primitive_count
+from maxca.primitivity import factorize_mersenne, is_primitive, primitive_count
 
 
 def entry_strings(entries):
@@ -64,6 +69,56 @@ class TestEnumerateMaxlen:
         assert entry_strings(enumerate_maxlen(10, jobs=4)) == entry_strings(
             enumerate_maxlen(10, jobs=1)
         )
+
+    @pytest.mark.parametrize("n", range(2, 13))
+    def test_matches_per_diagonal_order_test(self, n):
+        # The scan this one replaced: an order test on every diagonal.
+        f = factorize_mersenne(n)
+        want = []
+        for mask in range(1 << n):
+            rv = RuleVector.from_mask(mask, n)
+            p = characteristic_polynomial(rv)
+            if is_primitive(p, f):
+                want.append((format_poly(p), str(rv)))
+        want.sort(key=lambda t: (int(t[0], 2), t[1]))
+        assert entry_strings(enumerate_maxlen(n)) == want
+
+    def test_workers_bounded_by_cpu_count(self, monkeypatch):
+        sizes = []
+
+        class InlinePool:
+            # Records the requested size and runs the chunks in this process.
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
+        want = entry_strings(enumerate_maxlen(8, jobs=1))
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        assert entry_strings(enumerate_maxlen(8, jobs=8)) == want
+        assert sizes == [3]
+        for cpus in (1, None):
+            monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+            assert entry_strings(enumerate_maxlen(8, jobs=8)) == want
+        assert sizes == [3]
+
+    def test_import_leaves_process_pool_unloaded(self):
+        # The pool machinery is imported only when a scan uses workers.
+        out = subprocess.run(
+            [sys.executable, "-c", "import sys, maxca; print('concurrent.futures' in sys.modules)"],
+            capture_output=True,
+            text=True,
+            check=True,
+        ).stdout
+        assert out == "False\n"
 
     def test_oracle_equivalence_small(self):
         # Raw simulation agrees with the algebraic route; acceptance

@@ -8,6 +8,9 @@ import pytest
 from maxca.gf2poly import Gf2Poly, format_poly, mod_reduce, mul, parse_poly, pow_x_mod
 from maxca.primitivity import (
     MAX_FACTOR_N,
+    _berlekamp_massey,
+    _coset_leaders,
+    _m_sequence,
     enumerate_primitive,
     factorize_mersenne,
     is_irreducible,
@@ -28,6 +31,28 @@ def _is_prime(k: int) -> bool:
         if k % d == 0:
             return False
     return True
+
+
+def _filter_primitive(n: int) -> list[int]:
+    """The candidate loop that decimation replaced: odd weight, constant
+    term set, then the full order test."""
+    f = factorize_mersenne(n)
+    return [
+        bits
+        for bits in range((1 << n) | 1, 1 << (n + 1), 2)
+        if bits.bit_count() % 2 == 1 and is_primitive(Gf2Poly(bits), f)
+    ]
+
+
+def _lfsr(p: int, seed: list[int], count: int) -> list[int]:
+    """count terms of s[i + n] = XOR of s[i + j] over the terms x^j,
+    j < n, of the degree-n polynomial p, one step at a time."""
+    n = p.bit_length() - 1
+    s = list(seed)
+    while len(s) < count:
+        i = len(s) - n
+        s.append(sum(s[i + j] for j in range(n) if (p >> j) & 1) % 2)
+    return s[:count]
 
 
 def _divisor_scan_irreducible(p: Gf2Poly) -> bool:
@@ -202,3 +227,49 @@ class TestEnumeratePrimitive:
     def test_out_of_range(self, n):
         with pytest.raises(ValueError):
             enumerate_primitive(n)
+
+    @pytest.mark.parametrize("n", range(2, 15))
+    def test_matches_filter_oracle(self, n):
+        assert [p.bits for p in enumerate_primitive(n)] == _filter_primitive(n)
+
+
+class TestDecimationParts:
+    def test_berlekamp_massey_known_lfsr(self):
+        # x^4 + x^3 + 1 and its reciprocal x^4 + x + 1, each from the
+        # impulse seed: BM must return the recurrence, not its mirror.
+        assert _berlekamp_massey([1, 0, 0, 0, 1, 1, 1, 1]) == 0b11001
+        assert _berlekamp_massey([1, 0, 0, 0, 1, 0, 0, 1]) == 0b10011
+
+    def test_berlekamp_massey_low_complexity(self):
+        assert _berlekamp_massey([0] * 8) == 0b1
+        assert _berlekamp_massey([1] * 8) == 0b11
+        assert _berlekamp_massey([1, 1, 0] * 3) == 0b111
+
+    def test_berlekamp_massey_every_irreducible(self):
+        # 2n terms of any nonzero sequence with an irreducible degree-n
+        # characteristic polynomial determine that polynomial.
+        for n in range(1, 9):
+            for bits in range(1 << n, 1 << (n + 1)):
+                if is_irreducible(Gf2Poly(bits)):
+                    seq = _lfsr(bits, [0] * (n - 1) + [1], 2 * n)
+                    assert _berlekamp_massey(seq) == bits, (n, bits)
+
+    def test_m_sequence_matches_step_by_step(self):
+        for n in range(2, 11):
+            period = (1 << n) - 1
+            for p in enumerate_primitive(n)[:3]:
+                packed = _m_sequence(p.bits, n)
+                assert len(packed) == (period + 7) // 8
+                assert int.from_bytes(packed, "little") >> period == 0
+                got = [(packed[i >> 3] >> (i & 7)) & 1 for i in range(period)]
+                assert got == _lfsr(p.bits, [1] + [0] * (n - 1), period)
+
+    def test_coset_leaders_are_least_rotations(self):
+        for n in range(2, 13):
+            period = (1 << n) - 1
+            want = []
+            for k in range(1, period):
+                coset = {k * (1 << j) % period for j in range(n)}
+                if len(coset) == n and k == min(coset):
+                    want.append(k)
+            assert list(_coset_leaders(n)) == want, n
