@@ -1,13 +1,17 @@
 """Automaton stepping: hand traces, the explicit matrix oracle,
 linearity, cycle measurement, and bitstream output."""
 
+import itertools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from maxca.automaton import (
+    _BLOCK_BITS,
     BRUTE_FORCE_CAP,
     CaState,
+    _stream_chunks,
     cycle_length_from,
     is_max_length,
     next_state,
@@ -186,6 +190,86 @@ class TestStreamBits:
             stream_bits(RuleVector("10"), unit_seed(2), -1)
         with pytest.raises(ValueError):
             stream_bits(RuleVector("10"), unit_seed(3), 5)
+
+
+def _chunked_bytes(rv, seed, count, tap):
+    # Concatenate the chunks into one int, then pack it like pack_bits.
+    value = pos = 0
+    for chunk, k in _stream_chunks(rv, seed, count, tap):
+        assert 0 < k <= _BLOCK_BITS
+        assert chunk >> k == 0
+        value |= chunk << pos
+        pos += k
+    assert pos == count
+    return value.to_bytes((count + 7) // 8, "little")
+
+
+@st.composite
+def _stream_cases(draw):
+    n = draw(st.integers(1, 40))
+    mask = draw(st.integers(0, (1 << n) - 1))  # singular T included
+    seed = draw(st.integers(1, (1 << n) - 1))
+    tap = draw(st.integers(0, n - 1))
+    count = draw(st.integers(0, 100_000))
+    return RuleVector.from_mask(mask, n), CaState(bits=seed, n=n), count, tap
+
+
+class TestStreamChunks:
+    """The block recurrence against the per-step reference."""
+
+    @settings(deadline=None)
+    @given(_stream_cases())
+    def test_matches_per_step_stream(self, case):
+        rv, seed, count, tap = case
+        assert _chunked_bytes(rv, seed, count, tap) == pack_bits(stream_bits(rv, seed, count, tap))
+
+    @pytest.mark.parametrize("rules", ["1", "0", "10", "110", "00000110", "1" * 40])
+    def test_short_counts(self, rules):
+        rv = RuleVector(rules)
+        n = rv.n
+        seed = CaState(bits=(1 << n) - 1, n=n)
+        for count in sorted({0, max(n - 1, 0), n, n + 1, 2 * n + 1, 8 * n - 1}):
+            for tap in {0, n - 1}:
+                assert _chunked_bytes(rv, seed, count, tap) == pack_bits(stream_bits(rv, seed, count, tap))
+
+    @pytest.mark.parametrize("n", [40, 300])
+    def test_counts_around_a_phase_edge(self, n):
+        # The first n chunks are stepped, each next n come from one
+        # doubling level: end one bit either side of the first four edges.
+        rng = random.Random(n)
+        rv = RuleVector.from_mask(rng.getrandbits(n), n)
+        seed = CaState(bits=rng.randrange(1, 1 << n), n=n)
+        tap = rng.randrange(n)
+        chunks = itertools.islice(_stream_chunks(rv, seed, 1 << 40, tap), 4 * n)
+        ends = list(itertools.accumulate(k for _, k in chunks))
+        for edge in ends[n - 1::n]:
+            for count in (edge - 1, edge + 1):
+                assert _chunked_bytes(rv, seed, count, tap) == pack_bits(stream_bits(rv, seed, count, tap))
+
+    @pytest.mark.parametrize("rules, blocks", [
+        ("1", 1), ("1", 3), ("0", 2), ("10", 2), ("10", 5), ("011", 3),
+    ])
+    def test_counts_around_a_block_edge(self, rules, blocks):
+        # Full 2^15-bit blocks start at bit n * 2^15, so for blocks >= n,
+        # count = blocks * 2^15 +- 1 ends one bit either side of an edge;
+        # blocks > 2n reaches the second window of full blocks.
+        rv = RuleVector(rules)
+        rng = random.Random(rules)
+        seed = CaState(bits=rng.randrange(1, 1 << rv.n), n=rv.n)
+        tap = rv.n - 1
+        for count in (blocks * _BLOCK_BITS - 1, blocks * _BLOCK_BITS + 1):
+            assert _chunked_bytes(rv, seed, count, tap) == pack_bits(stream_bits(rv, seed, count, tap))
+
+    def test_validation_is_eager(self):
+        for args in ((RuleVector("10"), CaState(bits=0, n=2), 5),
+                     (RuleVector("10"), unit_seed(2), 5, 2),
+                     (RuleVector("10"), unit_seed(2), -1),
+                     (RuleVector("10"), unit_seed(3), 5)):
+            with pytest.raises(ValueError) as want:
+                stream_bits(*args)
+            with pytest.raises(ValueError) as got:
+                _stream_chunks(*args)
+            assert str(got.value) == str(want.value)
 
 
 class TestPackBits:

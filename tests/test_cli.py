@@ -3,9 +3,13 @@
 import hashlib
 import subprocess
 import sys
+import textwrap
+import threading
 
 import pytest
 
+from maxca.automaton import CaState, pack_bits, stream_bits
+from maxca.charpoly import RuleVector
 from maxca.cli import main
 
 
@@ -156,6 +160,76 @@ class TestStream:
         code, _, err = run_main(capsys, "stream", "--rules", "10", "--bits", "4", "--tap", "5")
         assert code == 2
         assert "tap" in err
+
+    def test_bad_tap_creates_no_file(self, tmp_path, capsys):
+        out_file = tmp_path / "bits.bin"
+        code, _, err = run_main(capsys, "stream", "--rules", "10", "--bits", "4", "--tap", "5",
+                                "--out", str(out_file))
+        assert code == 2
+        assert "tap" in err
+        assert not out_file.exists()
+
+    @pytest.mark.parametrize("ascii_out", [False, True])
+    def test_many_chunks_match_per_step_stream(self, tmp_path, capsys, ascii_out):
+        # 100,003 bits come in many chunks and end in a partial byte.
+        rules, seed, tap, bits = "1001011101", "0110001011", 7, 100_003
+        out_file = tmp_path / "bits"
+        code, _, _ = run_main(capsys, "stream", "--rules", rules, "--seed", seed, "--tap", str(tap),
+                              "--bits", str(bits), "--out", str(out_file),
+                              *(["--ascii"] if ascii_out else []))
+        assert code == 0
+        want = list(stream_bits(RuleVector(rules), CaState.from_string(seed), bits, tap))
+        if ascii_out:
+            assert out_file.read_bytes() == "".join(f"{b}\n" for b in want).encode()
+        else:
+            assert out_file.read_bytes() == pack_bits(want)
+
+    def test_closed_pipe_ends_quietly(self):
+        # An unbounded request stops at the first write after the reader
+        # has gone. The timer kills a child that never writes or never
+        # notices, which then fails the asserts instead of hanging.
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "maxca.cli", "stream", "--rules", "00000110", "--bits", str(2**40)],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        )
+        timer = threading.Timer(20, proc.kill)
+        timer.start()
+        try:
+            head = proc.stdout.read(16)
+            proc.stdout.close()
+            proc.wait()
+        finally:
+            timer.cancel()
+            proc.kill()
+        with proc.stderr:
+            err = proc.stderr.read()
+        assert len(head) == 16
+        assert proc.returncode >= 0  # exited, not killed by the timer
+        assert err == b""
+
+    def test_memory_does_not_grow_with_bits(self, tmp_path):
+        # ru_maxrss survives exec on Linux, so a child started from this
+        # (large) test process would read as large as it. A bare launcher
+        # starts the stream and reports the stream's own peak from wait4.
+        launcher = textwrap.dedent("""
+            import os, subprocess, sys
+            proc = subprocess.Popen([sys.executable, "-m", "maxca.cli", *sys.argv[1:]])
+            _, status, usage = os.wait4(proc.pid, 0)
+            print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)
+        """)
+        peaks = {}
+        for bits in (8, 2**24):  # 2^24 bits is 32 MiB of ASCII output
+            out_file = tmp_path / f"bits{bits}.txt"
+            proc = subprocess.run(
+                [sys.executable, "-c", launcher, "stream", "--rules", "00000110", "--ascii",
+                 "--bits", str(bits), "--out", str(out_file)],
+                capture_output=True, text=True, timeout=120,
+            )
+            code, peaks[bits] = map(int, proc.stdout.split())
+            assert code == 0
+            assert out_file.stat().st_size == 2 * bits
+        assert peaks[2**24] < 32 * 1024  # KiB, below the output's size
+        assert peaks[2**24] - peaks[8] < 4 * 1024
 
 
 class TestVerifyTables:
