@@ -26,7 +26,7 @@ v = verify_row(row)
 print(f"row n={row.n} poly={row.poly_str} rules={row.rv_str}")
 print(f"  charpoly match: {v.charpoly_match}")
 print(f"  polynomial primitive: {v.poly_primitive}")
-print(f"  simulated cycle: {v.cycle_length} (want {(1 << row.n) - 1})")
+print(f"  measured cycle: {v.cycle_length} (want {(1 << row.n) - 1})")
 
 # The full audit takes well under a second.
 report = verify_all()

@@ -6,8 +6,12 @@ shifts/XORs and one AND:
     next = ((s << 1) ^ (s >> 1) ^ (s & rules)) & ones(n)
 
 which is exactly T*s over GF(2) for the tridiagonal transition matrix
-with null boundaries. This kernel is the cycle oracle's hot path: the
-brute-force cycle measurement runs it millions of times.
+with null boundaries. `cycle_length_from` steps it up to 2^n times and
+stays the raw-simulation oracle. The cycle measurement behind `maxca
+cycle` and the table audit steps it only n times above n = 8: since
+p(T) = 0 for p = charpoly, T^t s is a combination of s, Ts, ...,
+T^(n-1)s given by x^t mod p, so the period comes from O(log t)
+products mod p (jump ahead).
 
 A bitstream does not step once per bit. Every tap sequence obeys the
 recurrence of the characteristic polynomial p (Cayley-Hamilton), and
@@ -19,9 +23,12 @@ blocks. `stream_bits` keeps the per-step generator as the reference.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import prod
 from typing import Iterable, Iterator
 
 from .charpoly import RuleVector, _charpoly_bits
+from .gf2poly import _pow_x_mod
+from .primitivity import MAX_FACTOR_N, _strip_to_order, factorize_mersenne
 
 __all__ = [
     "BRUTE_FORCE_CAP",
@@ -34,8 +41,16 @@ __all__ = [
     "pack_bits",
 ]
 
-# Cycle measurement iterates up to 2^n steps; sub-second to here.
+# Raw cycle simulation iterates up to 2^n steps; sub-second to here.
+# Jump-ahead costs milliseconds, but keeps the same cap and override.
 BRUTE_FORCE_CAP = 24
+
+# Up to this n, stepping through at most 2^n states costs less than the
+# jump's n steps, charpoly and x^t mod p, even for a maximal cycle, so
+# `maxca cycle` and the table audit simulate there and jump above. The
+# callers choose, so `_cycle_length_jump` stays a pure jump that the
+# tests compare with simulation at every n.
+_STEP_MAX_N = 8
 
 # Bits per block of the block-recurrence stream: a power of two, and a
 # multiple of 8 so that full chunks pack into whole bytes.
@@ -91,13 +106,7 @@ def next_state(rv: RuleVector, s: CaState) -> CaState:
     return CaState(bits=_step(s.bits, rv.mask, (1 << rv.n) - 1), n=s.n)
 
 
-def cycle_length_from(rv: RuleVector, seed: CaState, *, force: bool = False) -> int | None:
-    """Smallest t >= 1 with T^t seed = seed, or None if the seed never
-    recurs (possible only for a singular transition matrix).
-
-    The search is capped at 2^n steps, which is exhaustive: a state
-    space of 2^n states cannot hide a longer cycle.
-    """
+def _check_cycle_args(rv: RuleVector, seed: CaState, force: bool) -> None:
     if rv.n != seed.n:
         raise ValueError(f"rule vector has {rv.n} cells, seed has {seed.n}")
     if seed.bits == 0:
@@ -107,6 +116,17 @@ def cycle_length_from(rv: RuleVector, seed: CaState, *, force: bool = False) -> 
             f"cycle search over 2^{rv.n} steps exceeds the n<={BRUTE_FORCE_CAP} "
             "cap; use the force override to go beyond it"
         )
+
+
+def cycle_length_from(rv: RuleVector, seed: CaState, *, force: bool = False) -> int | None:
+    """Smallest t >= 1 with T^t seed = seed, or None if the seed never
+    recurs (possible only for a singular transition matrix).
+
+    The search is capped at 2^n steps, which is exhaustive: a state
+    space of 2^n states cannot hide a longer cycle. This raw simulation
+    is the oracle for the jump-ahead measurement.
+    """
+    _check_cycle_args(rv, seed, force)
     mask = rv.mask
     lim = (1 << rv.n) - 1
     start = seed.bits
@@ -117,6 +137,54 @@ def cycle_length_from(rv: RuleVector, seed: CaState, *, force: bool = False) -> 
         if bits == start:
             return t
     return None
+
+
+def _cycle_length_jump(rv: RuleVector, seed: CaState, *, force: bool = False) -> int | None:
+    """What `cycle_length_from` returns, from n steps and a few x^t mod p.
+
+    With K_j = T^j seed (j = 0..n) and p = charpoly, T^t seed is the XOR
+    of the K_j over the terms of x^t mod p. Every period divides
+    M = 2^ceil(log2 n) * lcm_{k<=n}(2^k - 1), so T^M seed != seed means
+    the seed never recurs; 2^n - 1, the maximum-length case, is tried
+    first. Each prime of M is then stripped while the seed still
+    recurs, which is exact since {t : T^t seed = seed} = period * Z.
+    """
+    _check_cycle_args(rv, seed, force)
+    n, mask, lim = rv.n, rv.mask, (1 << rv.n) - 1
+    if n > MAX_FACTOR_N:
+        raise ValueError(f"cycle measurement factors 2^n - 1, which stops at n<={MAX_FACTOR_N}, got n={n}")
+    krylov = [seed.bits]
+    for _ in range(n):
+        krylov.append(_step(krylov[-1], mask, lim))
+
+    def apply(r: int) -> int:  # r(T) seed, for deg r <= n
+        acc = 0
+        for k in krylov:
+            if r & 1:
+                acc ^= k
+            r >>= 1
+        return acc
+
+    p = _charpoly_bits(mask, n)
+    # p(T) seed = 0 holds for any seed (Cayley-Hamilton); for the unit
+    # seed, which is cyclic for tridiagonal T, it pins p independently.
+    if apply(p):
+        raise RuntimeError(f"charpoly does not annihilate the seed of rule vector {rv}")
+    factors = dict(factorize_mersenne(n).prime_factors)
+
+    def recurs(t: int) -> bool:  # T^t seed == seed
+        return apply(_pow_x_mod(t, p)) == seed.bits
+
+    t = lim
+    if not recurs(t):
+        for k in range(1, n):
+            for q, e in factorize_mersenne(k).prime_factors:
+                factors[q] = max(factors.get(q, 0), e)
+        factors[2] = (n - 1).bit_length()
+        t = prod(q**e for q, e in factors.items())
+        if not recurs(t):
+            return None
+    return _strip_to_order(t, factors.items(), recurs)
 
 
 def is_max_length(rv: RuleVector, *, force: bool = False) -> bool:

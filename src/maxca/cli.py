@@ -11,7 +11,8 @@ One executable, seven subcommands:
     primpoly-list  all primitive polynomials of one degree
 
 Results go to stdout, diagnostics to stderr. Exit codes: 0 success,
-1 verification failure (verify-tables --strict), 2 usage error.
+1 verification failure (verify-tables --strict), 2 usage error, 141
+output pipe closed by the reader (128 + SIGPIPE, as a shell reports).
 """
 
 from __future__ import annotations
@@ -22,7 +23,16 @@ import sys
 
 # stream_bits and pack_bits are unused here but stay bound: the benchmark's
 # traced run (perfbench/layertrace.py) wraps both names in this module.
-from .automaton import CaState, _stream_chunks, cycle_length_from, pack_bits, stream_bits, unit_seed
+from .automaton import (
+    _STEP_MAX_N,
+    CaState,
+    _cycle_length_jump,
+    _stream_chunks,
+    cycle_length_from,
+    pack_bits,
+    stream_bits,
+    unit_seed,
+)
 from .charpoly import RuleVector, characteristic_polynomial
 from .enumerator import enumerate_maxlen
 from .gf2poly import format_poly, parse_poly
@@ -130,7 +140,8 @@ def _cmd_primitive(args) -> int:
 def _cmd_cycle(args) -> int:
     rv = RuleVector(args.rules)
     seed = CaState.from_string(args.seed) if args.seed else unit_seed(rv.n)
-    t = cycle_length_from(rv, seed, force=args.force)
+    measure = cycle_length_from if rv.n <= _STEP_MAX_N else _cycle_length_jump
+    t = measure(rv, seed, force=args.force)
     print("none" if t is None else t)
     return 0
 
@@ -212,10 +223,11 @@ def main(argv: list[str] | None = None) -> int:
         print(f"maxca {args.command}: error: {exc}", file=sys.stderr)
         return 2
     except BrokenPipeError:
-        # Downstream closed the pipe (e.g. `| head`); suppress the noise.
+        # Downstream closed the pipe (e.g. `| head`); suppress the noise
+        # and exit as a shell reports a process killed by SIGPIPE.
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
-        return 1
+        return 141
 
 
 if __name__ == "__main__":

@@ -137,12 +137,19 @@ def order_of_x(p: Gf2Poly, f: MersenneFactorization | None = None) -> int:
         raise ValueError("order of x is only defined here for irreducible polynomials")
     if f is None:
         f = factorize_mersenne(n)
-    order = f.value
-    for q, e in f.prime_factors:
+    return _strip_to_order(f.value, f.prime_factors, lambda t: pow_x_mod(t, p) == _ONE)
+
+
+def _strip_to_order(multiple: int, prime_factors, holds) -> int:
+    # The order of a group element from a multiple of it, given as its
+    # primes (q, e), and a test holds(t) that is true exactly on the
+    # multiples of the order: divide out each q while the quotient holds.
+    for q, e in prime_factors:
         for _ in range(e):
-            if order % q == 0 and pow_x_mod(order // q, p) == _ONE:
-                order //= q
-    return order
+            if not holds(multiple // q):
+                break
+            multiple //= q
+    return multiple
 
 
 def primitive_count(n: int) -> int:

@@ -7,10 +7,12 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import maxca.automaton
 from maxca.automaton import (
     _BLOCK_BITS,
     BRUTE_FORCE_CAP,
     CaState,
+    _cycle_length_jump,
     _stream_chunks,
     cycle_length_from,
     is_max_length,
@@ -20,6 +22,7 @@ from maxca.automaton import (
     unit_seed,
 )
 from maxca.charpoly import RuleVector
+from maxca.primitivity import MAX_FACTOR_N
 
 
 def step_str(rules: str, state: str) -> str:
@@ -146,6 +149,59 @@ class TestCycleLength:
         for _ in range(15):
             s = next_state(rv, s)
         assert s == unit_seed(4)
+
+
+class TestCycleLengthJump:
+    """Jump-ahead against raw simulation, which stays the oracle."""
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_exhaustive_small_n(self, n):
+        # Every rule vector with every nonzero seed, singular T included.
+        nones = 0
+        for mask in range(1 << n):
+            rv = RuleVector.from_mask(mask, n)
+            for bits in range(1, 1 << n):
+                seed = CaState(bits=bits, n=n)
+                t = cycle_length_from(rv, seed)
+                assert _cycle_length_jump(rv, seed) == t
+                nones += t is None
+        assert nones > 0
+
+    @settings(deadline=None)
+    @given(st.integers(1, 14).flatmap(lambda n: st.tuples(
+        st.integers(0, (1 << n) - 1), st.integers(1, (1 << n) - 1), st.just(n))))
+    def test_matches_simulation(self, case):
+        mask, bits, n = case
+        rv, seed = RuleVector.from_mask(mask, n), CaState(bits=bits, n=n)
+        assert _cycle_length_jump(rv, seed) == cycle_length_from(rv, seed)
+
+    @pytest.mark.parametrize("rv,seed", [
+        (RuleVector("10"), CaState(bits=0, n=2)),
+        (RuleVector("10"), unit_seed(3)),
+        (RuleVector.from_mask(0, BRUTE_FORCE_CAP + 1), unit_seed(BRUTE_FORCE_CAP + 1)),
+    ])
+    def test_same_errors_as_simulation(self, rv, seed):
+        with pytest.raises(ValueError) as want:
+            cycle_length_from(rv, seed)
+        with pytest.raises(ValueError) as got:
+            _cycle_length_jump(rv, seed)
+        assert str(got.value) == str(want.value)
+
+    def test_force_goes_past_the_cap_up_to_the_factoring_limit(self):
+        rv = RuleVector("11101010110010101110001101001101")  # primitive charpoly
+        assert _cycle_length_jump(rv, unit_seed(32), force=True) == (1 << 32) - 1
+
+    def test_beyond_factoring_limit_is_an_error(self):
+        n = MAX_FACTOR_N + 1
+        with pytest.raises(ValueError, match="factors 2\\^n - 1"):
+            _cycle_length_jump(RuleVector.from_mask(0, n), unit_seed(n), force=True)
+
+    def test_wrong_charpoly_is_caught(self, monkeypatch):
+        # x^2 + 1 is not charpoly("10") = x^2 + x + 1; the check on the
+        # stepped seed must notice rather than report a period.
+        monkeypatch.setattr(maxca.automaton, "_charpoly_bits", lambda mask, n: 0b101)
+        with pytest.raises(RuntimeError):
+            _cycle_length_jump(RuleVector("10"), unit_seed(2))
 
 
 class TestIsMaxLength:

@@ -127,6 +127,46 @@ class TestCycle:
         assert code == 2
         assert "seed" in err
 
+    @pytest.mark.parametrize("rules", [
+        "00101111110010101001",
+        "110110111000011001011000",
+    ])
+    def test_maxlen_at_n20_and_n24(self, capsys, rules):
+        # Primitive charpolys; raw simulation gives the same (2^24 steps
+        # took 3.6 s, so it is not repeated here).
+        code, out, _ = run_main(capsys, "cycle", "--rules", rules)
+        assert code == 0
+        assert out == f"{(1 << len(rules)) - 1}\n"
+
+    def test_beyond_cap_needs_force(self, capsys):
+        code, out, err = run_main(capsys, "cycle", "--rules", "0" * 25)
+        assert code == 2
+        assert out == ""
+        assert "cap" in err
+
+    def test_steps_up_to_n8_and_jumps_above(self, capsys, monkeypatch):
+        import maxca.cli as cli
+
+        calls = []
+        for name in ("cycle_length_from", "_cycle_length_jump"):
+            fn = getattr(cli, name)
+            monkeypatch.setattr(cli, name, lambda rv, seed, fn=fn, name=name, **kw: calls.append((rv.n, name)) or fn(rv, seed, **kw))
+        for rules in ("00000110", "000001101"):
+            assert run_main(capsys, "cycle", "--rules", rules)[0] == 0
+        assert calls == [(8, "cycle_length_from"), (9, "_cycle_length_jump")]
+
+    @pytest.mark.parametrize("n", [33, 64])
+    def test_force_beyond_factoring_limit_exits_2_at_once(self, n):
+        # Without the limit this would step the automaton 2^n times.
+        proc = subprocess.run(
+            [sys.executable, "-m", "maxca.cli", "cycle", "--rules", "1" * n, "--force"],
+            capture_output=True, timeout=30,
+        )
+        assert proc.returncode == 2
+        assert proc.stdout == b""
+        assert proc.stderr.count(b"\n") == 1
+        assert b"error" in proc.stderr
+
 
 class TestStream:
     def test_ascii_lines(self, capsys):
@@ -204,7 +244,7 @@ class TestStream:
         with proc.stderr:
             err = proc.stderr.read()
         assert len(head) == 16
-        assert proc.returncode >= 0  # exited, not killed by the timer
+        assert proc.returncode == 141  # 128 + SIGPIPE, not killed by the timer
         assert err == b""
 
     def test_memory_does_not_grow_with_bits(self, tmp_path):
@@ -242,8 +282,9 @@ class TestVerifyTables:
         assert out.count("FAIL") == 6
 
     def test_strict_fails_on_known_bad_block(self, capsys):
-        code, _, _ = run_main(capsys, "verify-tables", "--strict")
+        code, out, _ = run_main(capsys, "verify-tables", "--strict")
         assert code == 1
+        assert out.splitlines()[-3:] == ["rows: 479", "passed: 473", "failed: 6"]
 
     def test_strict_passes_clean_subset(self, capsys):
         code, out, _ = run_main(capsys, "verify-tables", "--n", "4", "--strict")

@@ -187,6 +187,14 @@ class TestOrderOfX:
                 assert pow_x_mod(o, p) == Gf2Poly(1)
                 assert is_primitive(p) == (o == (1 << n) - 1)
 
+    def test_order_is_least_by_brute_force(self):
+        for n in range(2, 9):
+            for bits in range(1 << n, 1 << (n + 1)):
+                p = Gf2Poly(bits)
+                if is_irreducible(p):
+                    least = next(t for t in range(1, 1 << n) if pow_x_mod(t, p) == Gf2Poly(1))
+                    assert order_of_x(p) == least
+
 
 class TestEnumeratePrimitive:
     def test_n2(self):

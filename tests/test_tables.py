@@ -9,6 +9,8 @@ exactly that, with diagnostics, and pass everything else.
 
 import pytest
 
+from maxca import tables
+from maxca.automaton import _cycle_length_jump, cycle_length_from, unit_seed
 from maxca.charpoly import RuleVector, characteristic_polynomial
 from maxca.enumerator import enumerate_maxlen
 from maxca.gf2poly import format_poly
@@ -67,6 +69,22 @@ class TestTableRowValidation:
 
 
 class TestVerifyRow:
+    def test_cycle_length_equals_raw_simulation_on_every_row(self):
+        for row in load_rows():
+            rv, seed = RuleVector(row.rv_str), unit_seed(row.n)
+            want = cycle_length_from(rv, seed)
+            assert _cycle_length_jump(rv, seed) == want
+            assert verify_row(row).cycle_length == want
+
+    def test_steps_up_to_n8_and_jumps_above(self, monkeypatch):
+        calls = []
+        for name in ("cycle_length_from", "_cycle_length_jump"):
+            fn = getattr(tables, name)
+            monkeypatch.setattr(tables, name, lambda rv, seed, fn=fn, name=name: calls.append((rv.n, name)) or fn(rv, seed))
+        for n in (8, 9):
+            assert verify_row(load_rows(n)[0]).passed
+        assert calls == [(8, "cycle_length_from"), (9, "_cycle_length_jump")]
+
     def test_worked_example_passes(self):
         v = verify_row(TableRow(n=8, poly_str="100011101", rv_str="00000110"))
         assert v.charpoly_match
