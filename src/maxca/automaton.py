@@ -14,10 +14,10 @@ T^(n-1)s given by x^t mod p, so the period comes from O(log t)
 products mod p (jump ahead).
 
 A bitstream does not step once per bit. Every tap sequence obeys the
-recurrence of the characteristic polynomial p (Cayley-Hamilton), and
-over GF(2) p(x)^B = p(x^B) for B a power of two, so after a short
-bootstrap each B-bit block of output is the XOR of weight(p) earlier
-blocks. `stream_bits` keeps the per-step generator as the reference.
+recurrence of the characteristic polynomial p (Cayley-Hamilton), so
+after n stepped blocks the block kernel of gf2poly makes each B-bit
+block from weight(p) earlier ones. `stream_bits` keeps the per-step
+generator as the reference.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from math import prod
 from typing import Iterable, Iterator
 
 from .charpoly import RuleVector, _charpoly_bits
-from .gf2poly import _pow_x_mod
+from .gf2poly import _BLOCK_BITS, _pow_x_mod, _recurrence_blocks
 from .primitivity import MAX_FACTOR_N, _strip_to_order, factorize_mersenne
 
 __all__ = [
@@ -51,10 +51,6 @@ BRUTE_FORCE_CAP = 24
 # callers choose, so `_cycle_length_jump` stays a pure jump that the
 # tests compare with simulation at every n.
 _STEP_MAX_N = 8
-
-# Bits per block of the block-recurrence stream: a power of two, and a
-# multiple of 8 so that full chunks pack into whole bytes.
-_BLOCK_BITS = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -232,50 +228,23 @@ def _stream_chunks(rv: RuleVector, seed: CaState, count: int, tap: int = 0) -> I
     Working memory is at most 2n blocks, whatever the count.
     """
     _check_stream_args(rv, seed, count, tap)
-
-    def blocks():
-        # (block, size) in stream order, without end. Since p(x)^b =
-        # p(x^b) for b = 2^k, block t+n of b bits is the XOR of blocks
-        # t+j over the w terms x^j of p below x^n. The first n blocks
-        # come from stepping; each doubling then appends n blocks and
-        # pairs all 2n up into n of twice the size, until the size is
-        # _BLOCK_BITS. A doubling makes n*b bits with n*w XORs, and a
-        # step costs about four XORs, so stepping makes the first
-        # blocks up to b = w/4: below that, doubling costs more.
-        n, mask, lim = rv.n, rv.mask, (1 << rv.n) - 1
-        p = _charpoly_bits(mask, n)
-        lags = [j for j in range(n) if (p >> j) & 1]
-        size = min(1 << (max(len(lags) // 4, 1).bit_length() - 1), _BLOCK_BITS)
-        bits, window = seed.bits, []
-        for _ in range(n):
-            block = 0
-            for k in range(size):
-                bits = _step(bits, mask, lim)
-                block |= ((bits >> tap) & 1) << k
-            window.append(block)
-            yield block, size
-        while True:
-            for t in range(n):
-                nxt = 0
-                for j in lags:
-                    nxt ^= window[t + j]
-                window.append(nxt)
-                yield nxt, size
-            if size < _BLOCK_BITS:
-                window = [window[2 * i] | window[2 * i + 1] << size for i in range(n)]
-                size *= 2
-            else:
-                del window[:n]
+    # A step costs about four XORs a bit, and a doubling level of the
+    # recurrence n*w XORs whatever its block size, so the n head blocks
+    # are stepped with about w/4 bits each: below that, doubling costs more.
+    p = _charpoly_bits(rv.mask, rv.n)
+    size = min(1 << (max((p.bit_count() - 1) // 4, 1).bit_length() - 1), _BLOCK_BITS)
+    stepped = stream_bits(rv, seed, rv.n * size, tap)
+    head = (sum(next(stepped) << k for k in range(size)) for _ in range(rv.n))
 
     def emit():
         left = count
-        for block, size in blocks():
-            if left <= size:
+        for block, nbits in _recurrence_blocks(p, head, size):
+            if left <= nbits:
                 if left:
                     yield block & ((1 << left) - 1), left
                 return
-            yield block, size
-            left -= size
+            yield block, nbits
+            left -= nbits
 
     return emit()
 

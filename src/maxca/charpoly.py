@@ -117,8 +117,10 @@ def reverse(rv: RuleVector) -> RuleVector:
     Reversal conjugates T by the exchange permutation, so the mirrored
     vector has the same characteristic polynomial.
     """
-    rev_mask = 0
-    for i in range(rv.n):
-        if (rv.mask >> i) & 1:
-            rev_mask |= 1 << (rv.n - 1 - i)
-    return RuleVector.from_mask(rev_mask, rv.n)
+    return RuleVector.from_mask(_reverse_mask(rv.mask, rv.n), rv.n)
+
+
+def _reverse_mask(mask: int, n: int) -> int:
+    # Bit i moves to bit n-1-i. This is also the value of the text form
+    # read as binary, the order in which tables print rule vectors.
+    return int(format(mask, f"0{n}b")[::-1], 2)

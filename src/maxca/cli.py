@@ -35,7 +35,7 @@ from .automaton import (
 )
 from .charpoly import RuleVector, characteristic_polynomial
 from .enumerator import enumerate_maxlen
-from .gf2poly import format_poly, parse_poly
+from .gf2poly import _pack_blocks, format_poly, parse_poly
 from .primitivity import (
     enumerate_primitive,
     factorize_mersenne,
@@ -154,18 +154,7 @@ def _write_stream(f, chunks, ascii_out: bool) -> None:
             line[1::2] = b"\n" * k
             f.write(line)
         return
-    # Packed LSB-first, as pack_bits does: carry the bits of a partial
-    # byte into the next chunk and zero-pad the last byte.
-    acc = held = 0
-    for value, k in chunks:
-        acc |= value << held
-        held += k
-        whole = held >> 3
-        f.write((acc & ((1 << (8 * whole)) - 1)).to_bytes(whole, "little"))
-        acc >>= 8 * whole
-        held &= 7
-    if held:
-        f.write(acc.to_bytes(1, "little"))
+    f.writelines(_pack_blocks(chunks))
 
 
 def _cmd_stream(args) -> int:

@@ -14,7 +14,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 
-from .charpoly import RuleVector, _charpoly_bits, reverse
+from .charpoly import RuleVector, _charpoly_bits, _reverse_mask, reverse
 from .gf2poly import Gf2Poly, format_poly
 # factorize_mersenne is not called here; it stays bound because
 # perfbench/layertrace.py wraps maxca.enumerator's names, this one too.
@@ -115,15 +115,6 @@ def _scan(
     return hits, tuple(map(sum, zip(*(counts for _, counts in parts))))
 
 
-def _rv_sort_key(mask: int, n: int) -> int:
-    # Unsigned value of the text form (cell 0 is the most significant
-    # character), so output order matches the printed tables.
-    v = 0
-    for i in range(n):
-        v = (v << 1) | ((mask >> i) & 1)
-    return v
-
-
 def enumerate_maxlen(n: int, *, jobs: int = 1, force: bool = False) -> list[MaxLenEntry]:
     """Every n-cell maximum-length rule vector with its polynomial.
 
@@ -137,7 +128,7 @@ def enumerate_maxlen(n: int, *, jobs: int = 1, force: bool = False) -> list[MaxL
     if jobs < 1:
         raise ValueError("jobs must be >= 1")
     hits, _ = _scan(n, _primitive_set(n), jobs)
-    hits.sort(key=lambda t: (t[1], _rv_sort_key(t[0], n)))
+    hits.sort(key=lambda t: (t[1], _reverse_mask(t[0], n)))
     return [
         MaxLenEntry(n=n, rule_vector=RuleVector.from_mask(mask, n), polynomial=Gf2Poly(bits))
         for mask, bits in hits
@@ -157,7 +148,7 @@ def rule_vectors_for(p: Gf2Poly, *, force: bool = False) -> list[RuleVector]:
     hits, _ = _scan(n, frozenset((p.bits,)))
     return sorted(
         (RuleVector.from_mask(mask, n) for mask, _ in hits),
-        key=lambda rv: _rv_sort_key(rv.mask, n),
+        key=lambda rv: _reverse_mask(rv.mask, n),
     )
 
 

@@ -8,6 +8,10 @@ every operation is exact.
 The text format is the MSB-first binary string used throughout the
 rule tables: "100011101" is x^8 + x^4 + x^3 + x^2 + 1, "0" is the zero
 polynomial. No separators, no "0b" prefix.
+
+`_recurrence_blocks` is the one block kernel for sequences that obey
+a polynomial p, from p(x)^B = p(x^B): it makes the m-sequence behind
+`enumerate_primitive` and the bitstream behind `maxca stream`.
 """
 
 from __future__ import annotations
@@ -204,3 +208,53 @@ def format_poly(p: Gf2Poly) -> str:
 def weight(p: Gf2Poly) -> int:
     """Number of nonzero coefficients."""
     return p.bits.bit_count()
+
+
+# Largest block of `_recurrence_blocks`: a power of two, and a multiple
+# of 8 so that full blocks pack into whole bytes.
+_BLOCK_BITS = 1 << 15
+
+
+def _recurrence_blocks(p: int, head, size: int):
+    # (block, bits) pairs without end, bit i of a block = its i-th term,
+    # for the sequence that obeys p of degree n and starts with the n
+    # blocks of `size` bits (a power of two) that the iterable head gives
+    # as they are needed. Over GF(2), p(x)^B = p(x^B) for B = 2^k, so
+    # block t+n of B bits is the XOR of blocks t+j over the w terms x^j
+    # of p below x^n. Each doubling appends n blocks and pairs all 2n up
+    # into n of twice the size, n*w XORs whatever the size, until the
+    # size is _BLOCK_BITS; then a window of 2n blocks slides.
+    n = p.bit_length() - 1
+    lags = [j for j in range(n) if (p >> j) & 1]
+    window = []
+    for block in head:
+        window.append(block)
+        yield block, size
+    while True:
+        for t in range(n):
+            nxt = 0
+            for j in lags:
+                nxt ^= window[t + j]
+            window.append(nxt)
+            yield nxt, size
+        if size < _BLOCK_BITS:
+            window = [window[2 * i] | window[2 * i + 1] << size for i in range(n)]
+            size *= 2
+        else:
+            del window[:n]
+
+
+def _pack_blocks(blocks):
+    # (block, bits) pairs as pieces of bytes, packed LSB-first as
+    # pack_bits packs bits: a partial byte carries into the next block,
+    # and a finite run of blocks ends in one zero-padded byte.
+    acc = held = 0
+    for block, bits in blocks:
+        acc |= block << held
+        held += bits
+        whole = held >> 3
+        yield (acc & ((1 << (8 * whole)) - 1)).to_bytes(whole, "little")
+        acc >>= 8 * whole
+        held &= 7
+    if held:
+        yield acc.to_bytes(1, "little")

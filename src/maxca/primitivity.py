@@ -1,11 +1,11 @@
 """Irreducibility and primitivity of polynomials over GF(2).
 
-A degree-n polynomial is primitive when it is irreducible and the order
-of x modulo the polynomial is the full 2^n - 1. The order test needs the
-prime factorization of 2^n - 1, which trial division delivers instantly
-at the supported sizes (n <= 32). Nothing is looked up: the list of
-primitive polynomials for any n is generated on demand, by decimating
-the m-sequence of the least one.
+A degree-n polynomial is primitive when the order of x modulo it is
+the full 2^n - 1, which also makes it irreducible. The order test needs
+the prime factorization of 2^n - 1, which trial division delivers
+instantly at the supported sizes (n <= 32). Nothing is looked up: the
+primitive polynomials of any n are generated on demand, by decimating
+the m-sequence of the least one (made by the block kernel of gf2poly).
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .gf2poly import Gf2Poly, gcd, pow_x_mod
+from .gf2poly import Gf2Poly, _pack_blocks, _recurrence_blocks, gcd, pow_x_mod
 
 __all__ = [
     "MAX_FACTOR_N",
@@ -105,7 +105,9 @@ def is_primitive(p: Gf2Poly, f: MersenneFactorization | None = None) -> bool:
     """True iff p is irreducible and x has order 2^n - 1 modulo p.
 
     Checks x^(2^n - 1) = 1 and x^((2^n - 1)/q) != 1 for every distinct
-    prime q of the factorization.
+    prime q of the factorization, and no irreducibility test: the powers
+    of x are then 2^n - 1 distinct units, every nonzero residue mod p,
+    so GF(2)[x]/p is a field and p is irreducible.
     """
     n = p.degree
     if n is None or n < 1:
@@ -114,8 +116,6 @@ def is_primitive(p: Gf2Poly, f: MersenneFactorization | None = None) -> bool:
         f = factorize_mersenne(n)
     elif f.n != n:
         raise ValueError(f"factorization is for n={f.n}, polynomial has degree {n}")
-    if not is_irreducible(p):
-        return False
     if pow_x_mod(f.value, p) != _ONE:
         return False
     for q in f.distinct_primes():
@@ -158,24 +158,17 @@ def primitive_count(n: int) -> int:
 
 
 def _m_sequence(p: int, n: int) -> bytes:
-    # One period (2^n - 1 bits) of the sequence with characteristic
-    # polynomial p, from the impulse seed, packed LSB-first. Over GF(2),
-    # p(x)^B = p(x^B) for B a power of two, so every sequence that obeys
-    # p also obeys s[i + n*B] = XOR of s[i + j*B] over the terms x^j of p
-    # below x^n: once n*B bits are known, the next B bits come from a
-    # few big-int shifts.
+    # One period (2^n - 1 bits) of the sequence that obeys p, from the
+    # impulse seed, packed LSB-first.
     period = (1 << n) - 1
-    lags = [n - j for j in range(n) if (p >> j) & 1]
-    seq, known = 1, n
-    while known < period:
-        block = 1 << ((known // n).bit_length() - 1)
-        nxt = 0
-        for lag in lags:
-            nxt ^= seq >> (known - lag * block)
-        seq |= (nxt & ((1 << block) - 1)) << known
-        known += block
-    seq &= (1 << period) - 1
-    return seq.to_bytes((period + 7) // 8, "little")
+    out = bytearray()
+    for piece in _pack_blocks(_recurrence_blocks(p, [1] + [0] * (n - 1), 1)):
+        out += piece
+        if 8 * len(out) >= period:
+            break
+    del out[(period + 7) // 8 :]
+    out[-1] &= 0xFF >> (-period % 8)
+    return bytes(out)
 
 
 def _berlekamp_massey(bits) -> int:

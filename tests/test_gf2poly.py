@@ -4,6 +4,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from maxca.gf2poly import (
+    _BLOCK_BITS,
+    _recurrence_blocks,
     MAX_DEGREE,
     DegreeOverflowError,
     Gf2Poly,
@@ -209,3 +211,40 @@ class TestGcd:
     def test_zero_cases(self):
         assert gcd(Gf2Poly(0), P("101")) == P("101")
         assert gcd(Gf2Poly(0), Gf2Poly(0)) == Gf2Poly(0)
+
+
+class TestRecurrenceBlocks:
+    """The block kernel against the recurrence itself, read off one big int."""
+
+    @pytest.mark.parametrize("p, start, size", [
+        (0b1011, [0, 1, 1], 4),  # x^3 + x + 1
+        (0b11001, [1, 0, 0, 0], 1),  # x^4 + x^3 + 1 from the impulse
+        (0b110, [1, 1], 2),  # x^2 + x: singular
+    ])
+    def test_obeys_p_past_the_window_phase(self, p, start, size):
+        # The head is n blocks of `size` bits stepped bit by bit from
+        # `start`. Full blocks start at bit n * _BLOCK_BITS and the
+        # window first slides at 2n * _BLOCK_BITS; read a few past that.
+        n = p.bit_length() - 1
+        bits = list(start)
+        while len(bits) < n * size:
+            bits.append(sum(bits[-n + j] for j in range(n) if (p >> j) & 1) & 1)
+        head = [sum(b << k for k, b in enumerate(bits[i * size:(i + 1) * size])) for i in range(n)]
+        seq = length = 0
+        sizes = []
+        for block, k in _recurrence_blocks(p, iter(head), size):
+            assert block >> k == 0
+            seq |= block << length
+            length += k
+            sizes.append(k)
+            if length > (2 * n + 3) * _BLOCK_BITS:
+                break
+        assert sizes[:n] == [size] * n
+        assert sizes[-1] == _BLOCK_BITS
+        assert sizes == sorted(sizes)
+        assert seq & ((1 << (n * size)) - 1) == sum(b << i for i, b in enumerate(bits))
+        nxt = 0
+        for j in range(n):
+            if (p >> j) & 1:
+                nxt ^= seq >> j
+        assert (nxt ^ (seq >> n)) & ((1 << (length - n)) - 1) == 0

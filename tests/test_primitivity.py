@@ -1,6 +1,7 @@
 """Primitivity machinery, cross-checked by brute force: trial-division
 primality, divisor-scan irreducibility, and explicit residue orbits."""
 
+import hashlib
 import math
 
 import pytest
@@ -236,6 +237,15 @@ class TestEnumeratePrimitive:
         with pytest.raises(ValueError):
             enumerate_primitive(n)
 
+    def test_n20_pinned(self):
+        # The decimation at n = 20 runs the m-sequence past its doubling
+        # phase; the list is pinned by its sha256 as primpoly-list prints it.
+        text = "".join(format_poly(p) + "\n" for p in enumerate_primitive(20))
+        assert text.count("\n") == 24000 == primitive_count(20)
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "03a3da732a629b9df37bbdd2e46522e8a120a5a8cd91bec4d21c29ae87da39ff"
+        )
+
     @pytest.mark.parametrize("n", range(2, 15))
     def test_matches_filter_oracle(self, n):
         assert [p.bits for p in enumerate_primitive(n)] == _filter_primitive(n)
@@ -271,6 +281,24 @@ class TestDecimationParts:
                 assert int.from_bytes(packed, "little") >> period == 0
                 got = [(packed[i >> 3] >> (i & 7)) & 1 for i in range(period)]
                 assert got == _lfsr(p.bits, [1] + [0] * (n - 1), period)
+
+    def test_m_sequence_past_the_doubling_phase(self):
+        # At n = 20 the kernel reaches full 2^15-bit blocks, since
+        # n * 2^15 < 2^20 - 1. Two copies of the period, read as one
+        # big int, must obey p0's recurrence, so the period wraps.
+        n, period = 20, (1 << 20) - 1
+        p0 = 0b100000000000000001001  # x^20 + x^3 + 1, the least primitive
+        assert is_primitive(Gf2Poly(p0))
+        seq = int.from_bytes(_m_sequence(p0, n), "little")
+        assert seq >> period == 0
+        assert seq & ((1 << n) - 1) == 1
+        assert seq.bit_count() == 1 << (n - 1)
+        twice = seq | seq << period
+        nxt = 0
+        for j in range(n):
+            if (p0 >> j) & 1:
+                nxt ^= twice >> j
+        assert (nxt ^ (twice >> n)) & ((1 << (2 * period - n)) - 1) == 0
 
     def test_coset_leaders_are_least_rotations(self):
         for n in range(2, 13):
