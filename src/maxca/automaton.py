@@ -27,7 +27,7 @@ from math import prod
 from typing import Iterable, Iterator
 
 from .charpoly import RuleVector, _charpoly_bits
-from .gf2poly import _BLOCK_BITS, _pow_x_mod, _recurrence_blocks
+from .gf2poly import _BLOCK_BITS, _format_lsb, _parse_lsb, _pow_x_mod, _recurrence_blocks
 from .primitivity import MAX_FACTOR_N, _strip_to_order, factorize_mersenne
 
 __all__ = [
@@ -69,16 +69,10 @@ class CaState:
     @classmethod
     def from_string(cls, s: str) -> "CaState":
         """Parse the text form: one char per cell, leftmost = cell 0."""
-        if not s or set(s) - {"0", "1"}:
-            raise ValueError(f"state must be a nonempty 0/1 string: {s!r}")
-        bits = 0
-        for i, c in enumerate(s):
-            if c == "1":
-                bits |= 1 << i
-        return cls(bits=bits, n=len(s))
+        return cls(bits=_parse_lsb(s, "state"), n=len(s))
 
     def __str__(self) -> str:
-        return "".join(str((self.bits >> i) & 1) for i in range(self.n))
+        return _format_lsb(self.bits, self.n)
 
 
 def unit_seed(n: int) -> CaState:
@@ -102,11 +96,15 @@ def next_state(rv: RuleVector, s: CaState) -> CaState:
     return CaState(bits=_step(s.bits, rv.mask, (1 << rv.n) - 1), n=s.n)
 
 
-def _check_cycle_args(rv: RuleVector, seed: CaState, force: bool) -> None:
+def _check_seed(rv: RuleVector, seed: CaState, zero_reason: str) -> None:
     if rv.n != seed.n:
         raise ValueError(f"rule vector has {rv.n} cells, seed has {seed.n}")
     if seed.bits == 0:
-        raise ValueError("zero seed is a fixed point off the nonzero cycle")
+        raise ValueError(f"zero seed {zero_reason}")
+
+
+def _check_cycle_args(rv: RuleVector, seed: CaState, force: bool) -> None:
+    _check_seed(rv, seed, "is a fixed point off the nonzero cycle")
     if rv.n > BRUTE_FORCE_CAP and not force:
         raise ValueError(
             f"cycle search over 2^{rv.n} steps exceeds the n<={BRUTE_FORCE_CAP} "
@@ -190,10 +188,7 @@ def is_max_length(rv: RuleVector, *, force: bool = False) -> bool:
 
 
 def _check_stream_args(rv: RuleVector, seed: CaState, count: int, tap: int) -> None:
-    if rv.n != seed.n:
-        raise ValueError(f"rule vector has {rv.n} cells, seed has {seed.n}")
-    if seed.bits == 0:
-        raise ValueError("zero seed generates the all-zero stream")
+    _check_seed(rv, seed, "generates the all-zero stream")
     if not 0 <= tap < rv.n:
         raise ValueError(f"tap must be in 0..{rv.n - 1}, got {tap}")
     if count < 0:

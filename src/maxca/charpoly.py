@@ -6,14 +6,15 @@ the main diagonal of the n x n tridiagonal transition matrix T whose
 super- and sub-diagonal entries are all 1 (null boundaries). The
 characteristic polynomial det(xI + T) decides everything interesting
 about the automaton, so mapping rule vector -> polynomial is the core
-primitive here.
+primitive here. The text form (cell 0 first) and mirror reversal are
+gf2poly's LSB-first text form and bit reversal.
 """
 
 from __future__ import annotations
 
 from typing import Iterable, Union
 
-from .gf2poly import Gf2Poly
+from .gf2poly import Gf2Poly, _format_lsb, _parse_lsb, _reverse_bits
 
 __all__ = ["RuleVector", "characteristic_polynomial", "reverse"]
 
@@ -33,21 +34,15 @@ class RuleVector:
 
     def __init__(self, cells: Union[str, Iterable[int]]):
         if isinstance(cells, str):
-            if not cells:
-                raise ValueError("rule vector must have at least one cell")
-            if set(cells) - {"0", "1"}:
-                raise ValueError(f"rule vector must be over 0/1: {cells!r}")
-            flags = [int(c) for c in cells]
+            n, mask = len(cells), _parse_lsb(cells, "rule vector")
         else:
             flags = list(cells)
             if not flags:
                 raise ValueError("rule vector must have at least one cell")
             if any(f not in (0, 1) for f in flags):
                 raise ValueError("rule flags must be 0 (rule 90) or 1 (rule 150)")
-        mask = 0
-        for i, f in enumerate(flags):
-            mask |= f << i
-        object.__setattr__(self, "n", len(flags))
+            n, mask = len(flags), sum(f << i for i, f in enumerate(flags))
+        object.__setattr__(self, "n", n)
         object.__setattr__(self, "mask", mask)
 
     @classmethod
@@ -81,7 +76,7 @@ class RuleVector:
         return self.n
 
     def __str__(self) -> str:
-        return "".join(str((self.mask >> i) & 1) for i in range(self.n))
+        return _format_lsb(self.mask, self.n)
 
     def __repr__(self) -> str:
         return f"RuleVector({str(self)!r})"
@@ -117,10 +112,4 @@ def reverse(rv: RuleVector) -> RuleVector:
     Reversal conjugates T by the exchange permutation, so the mirrored
     vector has the same characteristic polynomial.
     """
-    return RuleVector.from_mask(_reverse_mask(rv.mask, rv.n), rv.n)
-
-
-def _reverse_mask(mask: int, n: int) -> int:
-    # Bit i moves to bit n-1-i. This is also the value of the text form
-    # read as binary, the order in which tables print rule vectors.
-    return int(format(mask, f"0{n}b")[::-1], 2)
+    return RuleVector.from_mask(_reverse_bits(rv.mask, rv.n), rv.n)

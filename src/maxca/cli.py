@@ -35,7 +35,7 @@ from .automaton import (
 )
 from .charpoly import RuleVector, characteristic_polynomial
 from .enumerator import enumerate_maxlen
-from .gf2poly import _pack_blocks, format_poly, parse_poly
+from .gf2poly import _format_lsb, _pack_blocks, format_poly, parse_poly
 from .primitivity import (
     enumerate_primitive,
     factorize_mersenne,
@@ -150,7 +150,7 @@ def _write_stream(f, chunks, ascii_out: bool) -> None:
     if ascii_out:
         for value, k in chunks:
             line = bytearray(2 * k)
-            line[::2] = format(value, f"0{k}b")[::-1].encode()
+            line[::2] = _format_lsb(value, k).encode()
             line[1::2] = b"\n" * k
             f.write(line)
         return
@@ -208,15 +208,17 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return _DISPATCH[args.command](args)
-    except ValueError as exc:
-        print(f"maxca {args.command}: error: {exc}", file=sys.stderr)
-        return 2
     except BrokenPipeError:
         # Downstream closed the pipe (e.g. `| head`); suppress the noise
         # and exit as a shell reports a process killed by SIGPIPE.
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
         return 141
+    except (ValueError, OSError) as exc:
+        # After BrokenPipeError, an OSError too. Any other OSError is
+        # e.g. an --out or --errata path that cannot be opened.
+        print(f"maxca {args.command}: error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -14,8 +14,8 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 
-from .charpoly import RuleVector, _charpoly_bits, _reverse_mask, reverse
-from .gf2poly import Gf2Poly, format_poly
+from .charpoly import RuleVector, _charpoly_bits, reverse
+from .gf2poly import Gf2Poly, _reverse_bits, format_poly
 # factorize_mersenne is not called here; it stays bound because
 # perfbench/layertrace.py wraps maxca.enumerator's names, this one too.
 from .primitivity import enumerate_primitive, factorize_mersenne, is_primitive
@@ -128,7 +128,7 @@ def enumerate_maxlen(n: int, *, jobs: int = 1, force: bool = False) -> list[MaxL
     if jobs < 1:
         raise ValueError("jobs must be >= 1")
     hits, _ = _scan(n, _primitive_set(n), jobs)
-    hits.sort(key=lambda t: (t[1], _reverse_mask(t[0], n)))
+    hits.sort(key=lambda t: (t[1], _reverse_bits(t[0], n)))
     return [
         MaxLenEntry(n=n, rule_vector=RuleVector.from_mask(mask, n), polynomial=Gf2Poly(bits))
         for mask, bits in hits
@@ -148,7 +148,7 @@ def rule_vectors_for(p: Gf2Poly, *, force: bool = False) -> list[RuleVector]:
     hits, _ = _scan(n, frozenset((p.bits,)))
     return sorted(
         (RuleVector.from_mask(mask, n) for mask, _ in hits),
-        key=lambda rv: _reverse_mask(rv.mask, n),
+        key=lambda rv: _reverse_bits(rv.mask, n),
     )
 
 

@@ -7,7 +7,9 @@ every operation is exact.
 
 The text format is the MSB-first binary string used throughout the
 rule tables: "100011101" is x^8 + x^4 + x^3 + x^2 + 1, "0" is the zero
-polynomial. No separators, no "0b" prefix.
+polynomial. No separators, no "0b" prefix. Rule vectors and states
+print LSB-first (character i = bit i); that text form and the n-bit
+reversal between the two orders live here too.
 
 `_recurrence_blocks` is the one block kernel for sequences that obey
 a polynomial p, from p(x)^B = p(x^B): it makes the m-sequence behind
@@ -185,12 +187,32 @@ def gcd(a: Gf2Poly, b: Gf2Poly) -> Gf2Poly:
     return Gf2Poly(_gcd(a.bits, b.bits))
 
 
+def _check_bits(s: str, what: str) -> None:
+    # The 0/1 check of both text forms; int(s, 2) also takes "+", " ", "_".
+    if not s or set(s) - {"0", "1"}:
+        raise ValueError(f"{what} must be a nonempty 0/1 string: {s!r}")
+
+
+def _parse_lsb(s: str, what: str) -> int:
+    # LSB-first text to int: character i is bit i.
+    _check_bits(s, what)
+    return int(s[::-1], 2)
+
+
+def _format_lsb(bits: int, n: int) -> str:
+    # Inverse of _parse_lsb for bits < 2^n: n characters, i-th = bit i.
+    return format(bits, f"0{n}b")[::-1]
+
+
+def _reverse_bits(bits: int, n: int) -> int:
+    # Bit i moves to bit n-1-i. This is also the LSB-first text read as
+    # MSB-first binary, the order in which tables print rule vectors.
+    return int(_format_lsb(bits, n), 2)
+
+
 def parse_poly(s: str) -> Gf2Poly:
     """Parse an MSB-first binary string ("111" -> x^2 + x + 1)."""
-    if not s:
-        raise ValueError("empty polynomial string")
-    if set(s) - {"0", "1"}:
-        raise ValueError(f"polynomial string must be over 0/1: {s!r}")
+    _check_bits(s, "polynomial")
     if len(s) > 1 and s[0] == "0":
         raise ValueError(f"leading zero in polynomial string: {s!r}")
     if len(s) - 1 > MAX_DEGREE:

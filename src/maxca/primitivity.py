@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .gf2poly import Gf2Poly, _pack_blocks, _recurrence_blocks, gcd, pow_x_mod
+from .gf2poly import Gf2Poly, _pack_blocks, _recurrence_blocks, _reverse_bits, gcd, pow_x_mod
 
 __all__ = [
     "MAX_FACTOR_N",
@@ -191,25 +191,22 @@ def _berlekamp_massey(bits) -> int:
             conn ^= prev << gap
         gap += 1
     # x^L * C(1/x): the connection polynomial read backwards.
-    return int(format(conn, f"0{length + 1}b")[::-1], 2)
+    return _reverse_bits(conn, length + 1)
 
 
 def _coset_leaders(n: int):
     # Smallest member of each cyclotomic coset {k * 2^j mod 2^n - 1} of
     # size n: multiplying by 2 rotates k's n-bit pattern, so these are
     # the binary Lyndon words of length n (Duval's generator, O(n)
-    # memory), in ascending order.
-    word = [0]
+    # memory), in ascending order. One step repeats the word to length
+    # n, drops its trailing 1s and sets its last character to 1.
+    word = "0"
     while word:
         if len(word) == n:
-            yield int("".join(map(str, word)), 2)
-        m = len(word)
-        while len(word) < n:
-            word.append(word[len(word) - m])
-        while word and word[-1] == 1:
-            word.pop()
+            yield int(word, 2)
+        word = (word * -(-n // len(word)))[:n].rstrip("1")
         if word:
-            word[-1] = 1
+            word = word[:-1] + "1"
 
 
 def enumerate_primitive(n: int) -> list[Gf2Poly]:

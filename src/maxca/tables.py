@@ -41,18 +41,10 @@ class TableRow:
     rv_str: str
 
     def __post_init__(self):
-        if not 1 <= self.n:
-            raise ValueError(f"bad cell count {self.n}")
-        if len(self.poly_str) != self.n + 1 or set(self.poly_str) - {"0", "1"}:
-            raise ValueError(
-                f"polynomial must be {self.n + 1} chars over 0/1: {self.poly_str!r}"
-            )
-        if self.poly_str[0] != "1":
-            raise ValueError(f"polynomial must be monic: {self.poly_str!r}")
-        if len(self.rv_str) != self.n or set(self.rv_str) - {"0", "1"}:
-            raise ValueError(
-                f"rule vector must be {self.n} chars over 0/1: {self.rv_str!r}"
-            )
+        if parse_poly(self.poly_str).degree != self.n:
+            raise ValueError(f"polynomial must have degree {self.n}: {self.poly_str!r}")
+        if len(RuleVector(self.rv_str)) != self.n:
+            raise ValueError(f"rule vector must have {self.n} cells: {self.rv_str!r}")
 
 
 @dataclass(frozen=True)

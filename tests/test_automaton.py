@@ -50,6 +50,10 @@ class TestCaState:
         assert s.bits == 1 << 7
         assert str(s) == "00000001"
 
+    @given(st.text(alphabet="01", min_size=1, max_size=80))
+    def test_string_round_trip_any_length(self, text):
+        assert str(CaState.from_string(text)) == text
+
     def test_unit_seed(self):
         assert unit_seed(4) == CaState(bits=1, n=4)
         assert str(unit_seed(4)) == "1000"

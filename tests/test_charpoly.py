@@ -169,6 +169,35 @@ class TestCharacteristicPolynomial:
                 assert const == _gf2_det(_transition_rows(mask, n), n), (n, mask)
 
 
+rule_texts = st.text(alphabet="01", min_size=1, max_size=80)
+
+
+class TestRuleVectorText:
+    @given(rule_texts)
+    def test_string_round_trip(self, text):
+        assert str(RuleVector(text)) == text
+
+    @given(st.integers(min_value=1, max_value=80).flatmap(
+        lambda n: st.builds(RuleVector.from_mask, st.integers(0, (1 << n) - 1), st.just(n))))
+    def test_from_mask_round_trip(self, rv):
+        assert RuleVector(str(rv)) == rv
+
+    @given(st.lists(st.sampled_from([0, 1, False, True]), min_size=1, max_size=40))
+    def test_iterable_with_bools_equals_string(self, flags):
+        rv = RuleVector(flags)
+        assert rv == RuleVector("".join("1" if f else "0" for f in flags))
+        assert type(rv.mask) is int
+
+    @pytest.mark.parametrize("bad", [[2], [True, 2], [-1]])
+    def test_iterable_rejects(self, bad):
+        with pytest.raises(ValueError):
+            RuleVector(bad)
+
+    @given(rule_texts)
+    def test_reverse_is_the_reversed_text(self, text):
+        assert reverse(RuleVector(text)) == RuleVector(text[::-1])
+
+
 class TestReverse:
     def test_worked_example_mirror(self):
         assert str(reverse(RuleVector("00000110"))) == "01100000"

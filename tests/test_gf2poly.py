@@ -5,7 +5,9 @@ from hypothesis import given, strategies as st
 
 from maxca.gf2poly import (
     _BLOCK_BITS,
+    _parse_lsb,
     _recurrence_blocks,
+    _reverse_bits,
     MAX_DEGREE,
     DegreeOverflowError,
     Gf2Poly,
@@ -163,6 +165,28 @@ class TestTextFormat:
     @given(polys)
     def test_round_trip(self, p):
         assert parse_poly(format_poly(p)) == p
+
+
+# (n, bits) with bits < 2^n: an n-cell bit vector.
+bit_vectors = st.integers(min_value=1, max_value=80).flatmap(
+    lambda n: st.tuples(st.just(n), st.integers(min_value=0, max_value=(1 << n) - 1))
+)
+
+
+class TestLsbText:
+    @pytest.mark.parametrize("bad", ["", "012", "1 0", "1_0", "+1"])
+    def test_rejects_with_one_line_naming_the_input(self, bad):
+        with pytest.raises(ValueError) as err:
+            _parse_lsb(bad, "widget")
+        assert str(err.value).startswith("widget ")
+        assert "\n" not in str(err.value)
+
+    @given(bit_vectors)
+    def test_reversal_is_an_involution_moving_bit_i_to_n_1_i(self, vec):
+        n, bits = vec
+        flipped = _reverse_bits(bits, n)
+        assert flipped == sum(((bits >> i) & 1) << (n - 1 - i) for i in range(n))
+        assert _reverse_bits(flipped, n) == bits
 
 
 class TestWeight:

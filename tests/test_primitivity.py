@@ -309,3 +309,22 @@ class TestDecimationParts:
                 if len(coset) == n and k == min(coset):
                     want.append(k)
             assert list(_coset_leaders(n)) == want, n
+
+    def test_coset_leaders_count_and_order(self):
+        # As many as the Lyndon words of length n, (1/n) sum mu(d) 2^(n/d)
+        # over the divisors d of n, and in ascending order.
+        def mobius(d):
+            sign = 1
+            for q in range(2, d + 1):
+                if d % q == 0:
+                    d //= q
+                    if d % q == 0:
+                        return 0
+                    sign = -sign
+            return sign
+
+        for n in range(1, 21):
+            leaders = list(_coset_leaders(n))
+            want = sum(mobius(d) << (n // d) for d in range(1, n + 1) if n % d == 0) // n
+            assert len(leaders) == want, n
+            assert leaders == sorted(set(leaders)), n
