@@ -9,100 +9,22 @@ simulation of the automaton as a bit generator, and re-verification of
 the bundled n = 2..12 reference table.
 """
 
-from .automaton import (
-    BRUTE_FORCE_CAP,
-    CaState,
-    cycle_length_from,
-    is_max_length,
-    next_state,
-    pack_bits,
-    stream_bits,
-    unit_seed,
-)
-from .charpoly import RuleVector, characteristic_polynomial, reverse
-from .enumerator import (
-    EXHAUSTIVE_CAP,
-    FilterStats,
-    MaxLenEntry,
-    enumerate_maxlen,
-    filter_stats,
-    rule_vectors_for,
-)
-from .gf2poly import (
-    MAX_DEGREE,
-    DegreeOverflowError,
-    Gf2Poly,
-    add,
-    format_poly,
-    gcd,
-    mod_reduce,
-    mul,
-    parse_poly,
-    pow_x_mod,
-    weight,
-)
-from .primitivity import (
-    MAX_FACTOR_N,
-    MersenneFactorization,
-    enumerate_primitive,
-    factorize_mersenne,
-    is_irreducible,
-    is_primitive,
-    order_of_x,
-    primitive_count,
-)
-from .tables import (
-    RowVerdict,
-    TableRow,
-    VerificationReport,
-    load_rows,
-    verify_all,
-    verify_row,
-)
+from . import automaton, charpoly, enumerator, gf2poly, primitivity, tables
+from .automaton import *
+from .charpoly import *
+from .enumerator import *
+from .gf2poly import *
+from .primitivity import *
+from .tables import *
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "BRUTE_FORCE_CAP",
-    "CaState",
-    "DegreeOverflowError",
-    "EXHAUSTIVE_CAP",
-    "FilterStats",
-    "Gf2Poly",
-    "MAX_DEGREE",
-    "MAX_FACTOR_N",
-    "MaxLenEntry",
-    "MersenneFactorization",
-    "RowVerdict",
-    "RuleVector",
-    "TableRow",
-    "VerificationReport",
-    "add",
-    "characteristic_polynomial",
-    "cycle_length_from",
-    "enumerate_maxlen",
-    "enumerate_primitive",
-    "factorize_mersenne",
-    "filter_stats",
-    "format_poly",
-    "gcd",
-    "is_irreducible",
-    "is_max_length",
-    "is_primitive",
-    "load_rows",
-    "mod_reduce",
-    "mul",
-    "next_state",
-    "order_of_x",
-    "pack_bits",
-    "parse_poly",
-    "pow_x_mod",
-    "primitive_count",
-    "reverse",
-    "rule_vectors_for",
-    "stream_bits",
-    "unit_seed",
-    "verify_all",
-    "verify_row",
-    "weight",
-]
+# Each module's __all__ is the one list of its public names.
+__all__ = sorted(
+    automaton.__all__
+    + charpoly.__all__
+    + enumerator.__all__
+    + gf2poly.__all__
+    + primitivity.__all__
+    + tables.__all__
+)

@@ -28,7 +28,7 @@ from typing import Iterable, Iterator
 
 from .charpoly import RuleVector, _charpoly_bits
 from .gf2poly import _BLOCK_BITS, _format_lsb, _parse_lsb, _pow_x_mod, _recurrence_blocks
-from .primitivity import MAX_FACTOR_N, _strip_to_order, factorize_mersenne
+from .primitivity import _strip_to_order, factorize_mersenne
 
 __all__ = [
     "BRUTE_FORCE_CAP",
@@ -145,8 +145,7 @@ def _cycle_length_jump(rv: RuleVector, seed: CaState, *, force: bool = False) ->
     """
     _check_cycle_args(rv, seed, force)
     n, mask, lim = rv.n, rv.mask, (1 << rv.n) - 1
-    if n > MAX_FACTOR_N:
-        raise ValueError(f"cycle measurement factors 2^n - 1, which stops at n<={MAX_FACTOR_N}, got n={n}")
+    factors = dict(factorize_mersenne(n).prime_factors)
     krylov = [seed.bits]
     for _ in range(n):
         krylov.append(_step(krylov[-1], mask, lim))
@@ -164,7 +163,6 @@ def _cycle_length_jump(rv: RuleVector, seed: CaState, *, force: bool = False) ->
     # seed, which is cyclic for tridiagonal T, it pins p independently.
     if apply(p):
         raise RuntimeError(f"charpoly does not annihilate the seed of rule vector {rv}")
-    factors = dict(factorize_mersenne(n).prime_factors)
 
     def recurs(t: int) -> bool:  # T^t seed == seed
         return apply(_pow_x_mod(t, p)) == seed.bits

@@ -35,7 +35,7 @@ from .automaton import (
 )
 from .charpoly import RuleVector, characteristic_polynomial
 from .enumerator import enumerate_maxlen
-from .gf2poly import _format_lsb, _pack_blocks, format_poly, parse_poly
+from .gf2poly import X, _format_lsb, _pack_blocks, format_poly, parse_poly
 from .primitivity import (
     enumerate_primitive,
     factorize_mersenne,
@@ -120,19 +120,19 @@ def _cmd_charpoly(args) -> int:
 
 def _cmd_primitive(args) -> int:
     p = parse_poly(args.poly)
-    n = p.degree
-    if n is None or n < 1:
-        raise ValueError("polynomial must have degree >= 1")
-    f = factorize_mersenne(n)
+    # Checks the degree (>= 1) before factorize_mersenne reads it.
     irreducible = is_irreducible(p)
+    f = factorize_mersenne(p.degree)
     primitive = is_primitive(p, f)
     print(f"polynomial: {format_poly(p)}")
-    print(f"degree: {n}")
+    print(f"degree: {p.degree}")
     print(f"irreducible: {'yes' if irreducible else 'no'}")
-    if irreducible:
-        print(f"order of x: {order_of_x(p, f)} of {f.value}")
-    else:
+    if not irreducible:
         print(f"order of x: undefined (reducible), full order would be {f.value}")
+    elif p == X:
+        print(f"order of x: undefined (x = 0 mod x), full order would be {f.value}")
+    else:
+        print(f"order of x: {order_of_x(p, f)} of {f.value}")
     print(f"primitive: {'yes' if primitive else 'no'}")
     return 0
 

@@ -32,14 +32,15 @@ __all__ = [
     "weight",
 ]
 
-# Hard cap on the degree of any stored polynomial. 64 covers automata of
-# up to 32 cells with full product headroom (deg a + deg b <= 64).
-# Exceeding it is an error, never silent truncation.
+# Hard cap on the degree of any Gf2Poly, checked in its constructor and
+# nowhere else: parse_poly, mul and characteristic_polynomial raise
+# DegreeOverflowError above it, never truncate. The raw-int kernels
+# below carry no cap (a product of two stored polynomials reaches 128).
 MAX_DEGREE = 64
 
 
 class DegreeOverflowError(ValueError):
-    """An operation would produce a polynomial of degree > MAX_DEGREE."""
+    """A polynomial of degree > MAX_DEGREE was to be made."""
 
 
 class Gf2Poly:
@@ -56,6 +57,10 @@ class Gf2Poly:
     def __init__(self, bits: int = 0):
         if bits < 0:
             raise ValueError("coefficient bits must be non-negative")
+        if bits.bit_length() > MAX_DEGREE + 1:
+            raise DegreeOverflowError(
+                f"degree {bits.bit_length() - 1} exceeds MAX_DEGREE={MAX_DEGREE}"
+            )
         object.__setattr__(self, "bits", bits)
 
     @property
@@ -100,7 +105,6 @@ class Gf2Poly:
         return f"Gf2Poly({format_poly(self)!r})"
 
 
-ZERO = Gf2Poly(0)
 ONE = Gf2Poly(1)
 X = Gf2Poly(2)
 
@@ -125,11 +129,6 @@ def _mul(a: int, b: int) -> int:
 
 def mul(a: Gf2Poly, b: Gf2Poly) -> Gf2Poly:
     """Carry-less product; degree adds for nonzero operands."""
-    if a.bits and b.bits:
-        if (a.bits.bit_length() - 1) + (b.bits.bit_length() - 1) > MAX_DEGREE:
-            raise DegreeOverflowError(
-                f"product degree exceeds MAX_DEGREE={MAX_DEGREE}"
-            )
     return Gf2Poly(_mul(a.bits, b.bits))
 
 
@@ -215,10 +214,6 @@ def parse_poly(s: str) -> Gf2Poly:
     _check_bits(s, "polynomial")
     if len(s) > 1 and s[0] == "0":
         raise ValueError(f"leading zero in polynomial string: {s!r}")
-    if len(s) - 1 > MAX_DEGREE:
-        raise DegreeOverflowError(
-            f"degree {len(s) - 1} exceeds MAX_DEGREE={MAX_DEGREE}"
-        )
     return Gf2Poly(int(s, 2))
 
 

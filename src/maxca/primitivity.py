@@ -3,9 +3,12 @@
 A degree-n polynomial is primitive when the order of x modulo it is
 the full 2^n - 1, which also makes it irreducible. The order test needs
 the prime factorization of 2^n - 1, which trial division delivers
-instantly at the supported sizes (n <= 32). Nothing is looked up: the
-primitive polynomials of any n are generated on demand, by decimating
-the m-sequence of the least one (made by the block kernel of gf2poly).
+instantly up to n = 32. That limit is checked once, in
+`factorize_mersenne`, so every order test, listing and cycle
+measurement that needs the factors stops there with the same message.
+Nothing is looked up: the primitive polynomials of any n are
+generated on demand, by decimating the m-sequence of the least one
+(made by the block kernel of gf2poly).
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .gf2poly import Gf2Poly, _pack_blocks, _recurrence_blocks, _reverse_bits, gcd, pow_x_mod
+from .gf2poly import ONE, X, Gf2Poly, _pack_blocks, _recurrence_blocks, _reverse_bits, gcd, pow_x_mod
 
 __all__ = [
     "MAX_FACTOR_N",
@@ -22,6 +25,7 @@ __all__ = [
     "factorize_mersenne",
     "is_irreducible",
     "is_primitive",
+    "order_of_x",
     "enumerate_primitive",
     "primitive_count",
 ]
@@ -29,9 +33,6 @@ __all__ = [
 # Trial division on 2^n - 1 is instantaneous up to here; larger n would
 # need real factoring machinery and is out of scope.
 MAX_FACTOR_N = 32
-
-_ONE = Gf2Poly(1)
-_X = Gf2Poly(2)
 
 
 def _factorize(value: int) -> tuple[tuple[int, int], ...]:
@@ -74,11 +75,23 @@ class MersenneFactorization:
 
 @lru_cache(maxsize=None)
 def factorize_mersenne(n: int) -> MersenneFactorization:
-    """Complete prime factorization of 2^n - 1 by trial division."""
+    """Complete prime factorization of 2^n - 1 by trial division.
+
+    The one check of MAX_FACTOR_N: whatever needs the factors calls this
+    first and gives its error.
+    """
     if not 1 <= n <= MAX_FACTOR_N:
-        raise ValueError(f"n must be in 1..{MAX_FACTOR_N}, got {n}")
+        raise ValueError(f"trial division factors 2^n - 1 only for n in 1..{MAX_FACTOR_N}, got n={n}")
     value = (1 << n) - 1
     return MersenneFactorization(n=n, value=value, prime_factors=_factorize(value))
+
+
+def _degree(p: Gf2Poly) -> int:
+    # The degree of p, which every test of this module needs >= 1.
+    n = p.degree
+    if n is None or n < 1:
+        raise ValueError(f"polynomial must have degree >= 1: {p}")
+    return n
 
 
 def is_irreducible(p: Gf2Poly) -> bool:
@@ -87,15 +100,13 @@ def is_irreducible(p: Gf2Poly) -> bool:
     Standard criterion: x^(2^n) = x (mod p), and for every prime q
     dividing n, gcd(x^(2^(n/q)) - x, p) = 1.
     """
-    n = p.degree
-    if n is None or n < 1:
-        raise ValueError("irreducibility needs degree >= 1")
+    n = _degree(p)
     if n == 1:
         return True
-    if pow_x_mod(1 << n, p) != _X % p:
+    if pow_x_mod(1 << n, p) != X % p:
         return False
     for q, _ in _factorize(n):
-        probe = pow_x_mod(1 << (n // q), p) + (_X % p)
+        probe = pow_x_mod(1 << (n // q), p) + (X % p)
         if gcd(probe, p).degree != 0:
             return False
     return True
@@ -109,35 +120,34 @@ def is_primitive(p: Gf2Poly, f: MersenneFactorization | None = None) -> bool:
     of x are then 2^n - 1 distinct units, every nonzero residue mod p,
     so GF(2)[x]/p is a field and p is irreducible.
     """
-    n = p.degree
-    if n is None or n < 1:
-        raise ValueError("primitivity needs degree >= 1")
+    n = _degree(p)
     if f is None:
         f = factorize_mersenne(n)
     elif f.n != n:
         raise ValueError(f"factorization is for n={f.n}, polynomial has degree {n}")
-    if pow_x_mod(f.value, p) != _ONE:
+    if pow_x_mod(f.value, p) != ONE:
         return False
     for q in f.distinct_primes():
-        if pow_x_mod(f.value // q, p) == _ONE:
+        if pow_x_mod(f.value // q, p) == ONE:
             return False
     return True
 
 
 def order_of_x(p: Gf2Poly, f: MersenneFactorization | None = None) -> int:
-    """Multiplicative order of x modulo an irreducible p.
+    """Multiplicative order of x modulo an irreducible p other than x.
 
     Starts from 2^n - 1 and strips every prime that can be stripped;
     useful as a diagnostic for irreducible but non-primitive inputs.
+    Modulo p = x, x is 0, which has no order.
     """
-    n = p.degree
-    if n is None or n < 1:
-        raise ValueError("order needs degree >= 1")
+    n = _degree(p)
     if not is_irreducible(p):
         raise ValueError("order of x is only defined here for irreducible polynomials")
+    if p == X:
+        raise ValueError("x has no order modulo x, where it is 0")
     if f is None:
         f = factorize_mersenne(n)
-    return _strip_to_order(f.value, f.prime_factors, lambda t: pow_x_mod(t, p) == _ONE)
+    return _strip_to_order(f.value, f.prime_factors, lambda t: pow_x_mod(t, p) == ONE)
 
 
 def _strip_to_order(multiple: int, prime_factors, holds) -> int:
@@ -221,8 +231,8 @@ def enumerate_primitive(n: int) -> list[Gf2Poly]:
     Working memory is one bit-packed period, (2^n - 1)/8 bytes, next
     to the result list.
     """
-    if not 2 <= n <= MAX_FACTOR_N:
-        raise ValueError(f"n must be in 2..{MAX_FACTOR_N}, got {n}")
+    if n < 2:
+        raise ValueError(f"n must be at least 2, got {n}")
     f = factorize_mersenne(n)
     period = f.value
     p0 = next(

@@ -91,6 +91,17 @@ class TestPrimitive:
         assert "order of x: 5 of 15" in out
         assert "primitive: no" in out
 
+    def test_x_has_undefined_order(self, capsys):
+        code, out, _ = run_main(capsys, "primitive", "--poly", "10")
+        assert code == 0
+        assert out == (
+            "polynomial: 10\n"
+            "degree: 1\n"
+            "irreducible: yes\n"
+            "order of x: undefined (x = 0 mod x), full order would be 1\n"
+            "primitive: no\n"
+        )
+
     def test_reducible_verdict(self, capsys):
         code, out, _ = run_main(capsys, "primitive", "--poly", "101")
         assert code == 0

@@ -177,6 +177,12 @@ class TestOrderOfX:
         with pytest.raises(ValueError):
             order_of_x(P("101"))
 
+    def test_x_has_no_order_modulo_x(self):
+        # x is irreducible, but x = 0 mod x, and 0 has no multiplicative order.
+        assert is_irreducible(P("10"))
+        with pytest.raises(ValueError, match="no order"):
+            order_of_x(P("10"))
+
     def test_order_divides_group_order_and_powers_check_out(self):
         for n in range(2, 9):
             for bits in range(1 << n, 1 << (n + 1)):
