@@ -10,25 +10,26 @@ with null boundaries. `cycle_length_from` steps it up to 2^n times and
 stays the raw-simulation oracle. The cycle measurement behind `maxca
 cycle` and the table audit steps it only n times above n = 8: since
 p(T) = 0 for p = charpoly, T^t s is a combination of s, Ts, ...,
-T^(n-1)s given by x^t mod p, so the period comes from O(log t)
-products mod p (jump ahead).
+T^(n-1)s given by x^t mod p, so each trial period costs O(log t)
+products mod p (jump ahead), and the period search that also finds
+the order of x, `primitivity._period`, picks the trials.
 
 A bitstream does not step once per bit. Every tap sequence obeys the
 recurrence of the characteristic polynomial p (Cayley-Hamilton), so
 after n stepped blocks the block kernel of gf2poly makes each B-bit
-block from weight(p) earlier ones. `stream_bits` keeps the per-step
+block from weight(p) earlier ones, and `gf2poly._first_bits` cuts that
+endless run to the bit count. `stream_bits` keeps the per-step
 generator as the reference.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import prod
 from typing import Iterable, Iterator
 
 from .charpoly import RuleVector, _charpoly_bits
-from .gf2poly import _BLOCK_BITS, _format_lsb, _parse_lsb, _pow_x_mod, _recurrence_blocks
-from .primitivity import _strip_to_order, factorize_mersenne
+from .gf2poly import _BLOCK_BITS, _first_bits, _format_lsb, _parse_lsb, _pow_x_mod, _recurrence_blocks
+from .primitivity import _period, factorize_mersenne
 
 __all__ = [
     "BRUTE_FORCE_CAP",
@@ -137,15 +138,14 @@ def _cycle_length_jump(rv: RuleVector, seed: CaState, *, force: bool = False) ->
     """What `cycle_length_from` returns, from n steps and a few x^t mod p.
 
     With K_j = T^j seed (j = 0..n) and p = charpoly, T^t seed is the XOR
-    of the K_j over the terms of x^t mod p. Every period divides
-    M = 2^ceil(log2 n) * lcm_{k<=n}(2^k - 1), so T^M seed != seed means
-    the seed never recurs; 2^n - 1, the maximum-length case, is tried
-    first. Each prime of M is then stripped while the seed still
-    recurs, which is exact since {t : T^t seed = seed} = period * Z.
+    of the K_j over the terms of x^t mod p, and {t : T^t seed = seed} is
+    period * Z, so `primitivity._period` finds the period as it finds
+    the order of x: 2^n - 1 first, then a multiple of every possible
+    period, stripped prime by prime.
     """
     _check_cycle_args(rv, seed, force)
     n, mask, lim = rv.n, rv.mask, (1 << rv.n) - 1
-    factors = dict(factorize_mersenne(n).prime_factors)
+    f = factorize_mersenne(n)
     krylov = [seed.bits]
     for _ in range(n):
         krylov.append(_step(krylov[-1], mask, lim))
@@ -164,19 +164,7 @@ def _cycle_length_jump(rv: RuleVector, seed: CaState, *, force: bool = False) ->
     if apply(p):
         raise RuntimeError(f"charpoly does not annihilate the seed of rule vector {rv}")
 
-    def recurs(t: int) -> bool:  # T^t seed == seed
-        return apply(_pow_x_mod(t, p)) == seed.bits
-
-    t = lim
-    if not recurs(t):
-        for k in range(1, n):
-            for q, e in factorize_mersenne(k).prime_factors:
-                factors[q] = max(factors.get(q, 0), e)
-        factors[2] = (n - 1).bit_length()
-        t = prod(q**e for q, e in factors.items())
-        if not recurs(t):
-            return None
-    return _strip_to_order(t, factors.items(), recurs)
+    return _period(f, lambda t: apply(_pow_x_mod(t, p)) == seed.bits)
 
 
 def is_max_length(rv: RuleVector, *, force: bool = False) -> bool:
@@ -228,18 +216,7 @@ def _stream_chunks(rv: RuleVector, seed: CaState, count: int, tap: int = 0) -> I
     size = min(1 << (max((p.bit_count() - 1) // 4, 1).bit_length() - 1), _BLOCK_BITS)
     stepped = stream_bits(rv, seed, rv.n * size, tap)
     head = (sum(next(stepped) << k for k in range(size)) for _ in range(rv.n))
-
-    def emit():
-        left = count
-        for block, nbits in _recurrence_blocks(p, head, size):
-            if left <= nbits:
-                if left:
-                    yield block & ((1 << left) - 1), left
-                return
-            yield block, nbits
-            left -= nbits
-
-    return emit()
+    return _first_bits(_recurrence_blocks(p, head, size), count)
 
 
 def pack_bits(bits: Iterable[int]) -> bytes:

@@ -14,6 +14,8 @@ reversal between the two orders live here too.
 `_recurrence_blocks` is the one block kernel for sequences that obey
 a polynomial p, from p(x)^B = p(x^B): it makes the m-sequence behind
 `enumerate_primitive` and the bitstream behind `maxca stream`.
+`_first_bits` is the one cut of its endless run to a bit count, and
+`_pack_blocks` the one packer of its blocks into bytes.
 """
 
 from __future__ import annotations
@@ -259,6 +261,18 @@ def _recurrence_blocks(p: int, head, size: int):
             size *= 2
         else:
             del window[:n]
+
+
+def _first_bits(blocks, count: int):
+    # The first `count` bits of a run of (block, bits) pairs, as the same
+    # pairs with the last one cut short; the whole run if it is shorter.
+    for block, bits in blocks:
+        if count <= bits:
+            if count:
+                yield block & ((1 << count) - 1), count
+            return
+        yield block, bits
+        count -= bits
 
 
 def _pack_blocks(blocks):

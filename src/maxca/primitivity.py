@@ -6,9 +6,11 @@ the prime factorization of 2^n - 1, which trial division delivers
 instantly up to n = 32. That limit is checked once, in
 `factorize_mersenne`, so every order test, listing and cycle
 measurement that needs the factors stops there with the same message.
-Nothing is looked up: the primitive polynomials of any n are
-generated on demand, by decimating the m-sequence of the least one
-(made by the block kernel of gf2poly).
+The least t with x^t = 1 (or T^t s = s) is found in one place,
+`_period`, for `order_of_x` and for the automaton's jump-ahead cycle
+measurement. Nothing is looked up: the primitive polynomials of any n
+up to LISTING_CAP are generated on demand, by decimating the
+m-sequence of the least one (made by the block kernel of gf2poly).
 """
 
 from __future__ import annotations
@@ -17,9 +19,11 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .gf2poly import ONE, X, Gf2Poly, _pack_blocks, _recurrence_blocks, _reverse_bits, gcd, pow_x_mod
+from .gf2poly import ONE, X, Gf2Poly, gcd, pow_x_mod
+from .gf2poly import _first_bits, _pack_blocks, _recurrence_blocks, _reverse_bits
 
 __all__ = [
+    "LISTING_CAP",
     "MAX_FACTOR_N",
     "MersenneFactorization",
     "factorize_mersenne",
@@ -33,6 +37,11 @@ __all__ = [
 # Trial division on 2^n - 1 is instantaneous up to here; larger n would
 # need real factoring machinery and is out of scope.
 MAX_FACTOR_N = 32
+
+# The listing keeps one packed period, (2^n - 1)/8 bytes, and every
+# polynomial it finds, phi(2^n - 1)/n of them: at n = 24, 2 MiB and
+# 276,480; at n = 32, 512 MiB and about 67 million (several GB).
+LISTING_CAP = 24
 
 
 def _factorize(value: int) -> tuple[tuple[int, int], ...]:
@@ -147,19 +156,33 @@ def order_of_x(p: Gf2Poly, f: MersenneFactorization | None = None) -> int:
         raise ValueError("x has no order modulo x, where it is 0")
     if f is None:
         f = factorize_mersenne(n)
-    return _strip_to_order(f.value, f.prime_factors, lambda t: pow_x_mod(t, p) == ONE)
+    return _period(f, lambda t: pow_x_mod(t, p) == ONE)
 
 
-def _strip_to_order(multiple: int, prime_factors, holds) -> int:
-    # The order of a group element from a multiple of it, given as its
-    # primes (q, e), and a test holds(t) that is true exactly on the
-    # multiples of the order: divide out each q while the quotient holds.
-    for q, e in prime_factors:
+def _period(f: MersenneFactorization, holds) -> int | None:
+    # The least t >= 1 with holds(t), for a test that is true exactly on
+    # the multiples of that t (x^t = 1 mod a divisor of a degree-n
+    # polynomial, T^t s = s for an n-cell automaton), or None if it is
+    # never true. Every such period divides M = 2^ceil(log2 n) *
+    # lcm_{k<=n}(2^k - 1) (Lidl & Niederreiter, Thm 3.8-3.9), so a false
+    # holds(M) means none; 2^n - 1, the primitive case, is tried first.
+    # Then each prime is divided out while the quotient still holds.
+    factors = dict(f.prime_factors)
+    t = f.value
+    if not holds(t):
+        for k in range(1, f.n):
+            for q, e in factorize_mersenne(k).prime_factors:
+                factors[q] = max(factors.get(q, 0), e)
+        factors[2] = (f.n - 1).bit_length()
+        t = math.prod(q**e for q, e in factors.items())
+        if not holds(t):
+            return None
+    for q, e in factors.items():
         for _ in range(e):
-            if not holds(multiple // q):
+            if not holds(t // q):
                 break
-            multiple //= q
-    return multiple
+            t //= q
+    return t
 
 
 def primitive_count(n: int) -> int:
@@ -170,15 +193,8 @@ def primitive_count(n: int) -> int:
 def _m_sequence(p: int, n: int) -> bytes:
     # One period (2^n - 1 bits) of the sequence that obeys p, from the
     # impulse seed, packed LSB-first.
-    period = (1 << n) - 1
-    out = bytearray()
-    for piece in _pack_blocks(_recurrence_blocks(p, [1] + [0] * (n - 1), 1)):
-        out += piece
-        if 8 * len(out) >= period:
-            break
-    del out[(period + 7) // 8 :]
-    out[-1] &= 0xFF >> (-period % 8)
-    return bytes(out)
+    blocks = _recurrence_blocks(p, [1] + [0] * (n - 1), 1)
+    return b"".join(_pack_blocks(_first_bits(blocks, (1 << n) - 1)))
 
 
 def _berlekamp_massey(bits) -> int:
@@ -229,11 +245,15 @@ def enumerate_primitive(n: int) -> list[Gf2Poly]:
     polynomial is primitive, Berlekamp-Massey recovers it from 2n
     terms, and each cyclotomic coset of k gives a distinct polynomial.
     Working memory is one bit-packed period, (2^n - 1)/8 bytes, next
-    to the result list.
+    to the result list, so n stops at LISTING_CAP.
     """
     if n < 2:
         raise ValueError(f"n must be at least 2, got {n}")
     f = factorize_mersenne(n)
+    if n > LISTING_CAP:
+        raise ValueError(
+            f"listing the primitive polynomials of degree {n} exceeds the n<={LISTING_CAP} cap"
+        )
     period = f.value
     p0 = next(
         bits

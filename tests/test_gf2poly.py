@@ -5,6 +5,7 @@ from hypothesis import given, strategies as st
 
 from maxca.gf2poly import (
     _BLOCK_BITS,
+    _first_bits,
     _parse_lsb,
     _recurrence_blocks,
     _reverse_bits,
@@ -272,3 +273,33 @@ class TestRecurrenceBlocks:
             if (p >> j) & 1:
                 nxt ^= seq >> j
         assert (nxt ^ (seq >> n)) & ((1 << (length - n)) - 1) == 0
+
+
+class TestFirstBits:
+    """The one cut of a block run to a bit count."""
+
+    # Three blocks of 8, 8 and 16 bits: 0xA5, 0x3C, 0xBEEF.
+    RUN = [(0xA5, 8), (0x3C, 8), (0xBEEF, 16)]
+
+    @pytest.mark.parametrize("count, want", [
+        (0, []),
+        (3, [(0b101, 3)]),  # inside the first block
+        (16, [(0xA5, 8), (0x3C, 8)]),  # exactly at a block boundary
+        (17, [(0xA5, 8), (0x3C, 8), (1, 1)]),  # one bit past it
+        (32, [(0xA5, 8), (0x3C, 8), (0xBEEF, 16)]),  # the whole run
+        (40, [(0xA5, 8), (0x3C, 8), (0xBEEF, 16)]),  # past its end
+    ])
+    def test_cuts(self, count, want):
+        assert list(_first_bits(iter(self.RUN), count)) == want
+
+    def test_stops_pulling_at_the_count(self):
+        # An endless run is read no further than the block the count ends in.
+        pulled = []
+
+        def endless():
+            while True:
+                pulled.append(1)
+                yield 0xFF, 8
+
+        assert list(_first_bits(endless(), 16)) == [(0xFF, 8), (0xFF, 8)]
+        assert len(pulled) == 2

@@ -1,6 +1,7 @@
 """Each size limit has one home, and every entry point it bounds gives
 that home's error: the degree ceiling in `Gf2Poly`, the factoring limit
-in `factorize_mersenne`, degree >= 1 in the primitivity tests."""
+in `factorize_mersenne`, the listing cap in `enumerate_primitive`,
+degree >= 1 in the primitivity tests."""
 
 import pytest
 
@@ -9,6 +10,7 @@ from maxca.charpoly import RuleVector, characteristic_polynomial
 from maxca.cli import main
 from maxca.gf2poly import MAX_DEGREE, DegreeOverflowError, Gf2Poly
 from maxca.primitivity import (
+    LISTING_CAP,
     MAX_FACTOR_N,
     enumerate_primitive,
     factorize_mersenne,
@@ -66,6 +68,22 @@ class TestFactoringLimit:
         assert _message(_cycle_length_jump, rv, unit_seed(n), force=True) == want
         poly = "1" + "0" * (n - 1) + "1"
         assert _cli_error(capsys, "primitive", "--poly", poly) == f"maxca primitive: error: {want}\n"
+
+
+class TestListingCap:
+    @pytest.mark.parametrize("n", [LISTING_CAP + 1, MAX_FACTOR_N])
+    def test_listing_refuses_degree_above_cap(self, n):
+        assert _message(enumerate_primitive, n) == (
+            f"listing the primitive polynomials of degree {n} exceeds the n<={LISTING_CAP} cap"
+        )
+
+    @pytest.mark.parametrize("argv", [
+        ("primpoly-list", "--n", str(LISTING_CAP + 1)),
+        ("enum", "--n", str(LISTING_CAP + 1), "--force"),
+    ])
+    def test_cli_exit_2(self, capsys, argv):
+        err = _cli_error(capsys, *argv)
+        assert err.startswith(f"maxca {argv[0]}: error: listing the primitive polynomials")
 
 
 class TestDegreeAtLeastOne:

@@ -12,6 +12,7 @@ from maxca.primitivity import (
     _berlekamp_massey,
     _coset_leaders,
     _m_sequence,
+    _period,
     enumerate_primitive,
     factorize_mersenne,
     is_irreducible,
@@ -201,6 +202,27 @@ class TestOrderOfX:
                 if is_irreducible(p):
                     least = next(t for t in range(1, 1 << n) if pow_x_mod(t, p) == Gf2Poly(1))
                     assert order_of_x(p) == least
+
+
+class TestPeriod:
+    """The one period search, on every polynomial with p(0) = 1 (x a
+    unit), reducible ones included, where 2^n - 1 often fails and the
+    multiple M of every possible order is needed."""
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_order_of_x_is_least_by_brute_force(self, n):
+        f = factorize_mersenne(n)
+        for bits in range((1 << n) | 1, 1 << (n + 1), 2):
+            p = Gf2Poly(bits)
+            least, r = 1, mod_reduce(P("10"), p)
+            while r != Gf2Poly(1):  # x is a unit, so its powers return to 1
+                r = mod_reduce(mul(r, P("10")), p)
+                least += 1
+            assert _period(f, lambda t: pow_x_mod(t, p) == Gf2Poly(1)) == least
+
+    @pytest.mark.parametrize("n", [1, 5, 8])
+    def test_none_when_never_true(self, n):
+        assert _period(factorize_mersenne(n), lambda t: False) is None
 
 
 class TestEnumeratePrimitive:
