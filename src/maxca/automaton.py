@@ -24,11 +24,10 @@ generator as the reference.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Iterator
+from collections.abc import Iterable, Iterator
 
 from .charpoly import RuleVector, _charpoly_bits
-from .gf2poly import _BLOCK_BITS, _first_bits, _format_lsb, _parse_lsb, _pow_x_mod, _recurrence_blocks
+from .gf2poly import _BLOCK_BITS, _first_bits, _format_lsb, _parse_lsb, _pow_x_mod, _Record, _recurrence_blocks
 from .primitivity import _period, factorize_mersenne
 
 __all__ = [
@@ -54,18 +53,20 @@ BRUTE_FORCE_CAP = 24
 _STEP_MAX_N = 8
 
 
-@dataclass(frozen=True)
-class CaState:
+class CaState(_Record):
     """State of an n-cell automaton, bit i = output of cell i."""
+
+    __slots__ = ("bits", "n")
 
     bits: int
     n: int
 
-    def __post_init__(self):
-        if self.n < 1:
+    def __init__(self, bits: int, n: int):
+        if n < 1:
             raise ValueError("state needs at least one cell")
-        if self.bits < 0 or self.bits >> self.n:
+        if bits < 0 or bits >> n:
             raise ValueError("state has bits beyond cell count")
+        super().__init__(bits, n)
 
     @classmethod
     def from_string(cls, s: str) -> "CaState":

@@ -12,14 +12,14 @@ gf2poly's LSB-first text form and bit reversal.
 
 from __future__ import annotations
 
-from typing import Iterable, Union
+from collections.abc import Iterable
 
-from .gf2poly import Gf2Poly, _format_lsb, _parse_lsb, _reverse_bits
+from .gf2poly import Gf2Poly, _format_lsb, _parse_lsb, _Record, _reverse_bits
 
 __all__ = ["RuleVector", "characteristic_polynomial", "reverse"]
 
 
-class RuleVector:
+class RuleVector(_Record):
     """Per-cell rule assignment of a hybrid 90/150 automaton.
 
     Internally a bit mask with bit i = flag of cell i. The text form is
@@ -32,7 +32,7 @@ class RuleVector:
     n: int
     mask: int
 
-    def __init__(self, cells: Union[str, Iterable[int]]):
+    def __init__(self, cells: str | Iterable[int]):
         if isinstance(cells, str):
             n, mask = len(cells), _parse_lsb(cells, "rule vector")
         else:
@@ -61,9 +61,6 @@ class RuleVector:
         """Flags as a tuple, index i = cell i."""
         return tuple((self.mask >> i) & 1 for i in range(self.n))
 
-    def __setattr__(self, name, value):
-        raise AttributeError("RuleVector is immutable")
-
     def __eq__(self, other) -> bool:
         if isinstance(other, RuleVector):
             return self.n == other.n and self.mask == other.mask
@@ -80,6 +77,10 @@ class RuleVector:
 
     def __repr__(self) -> str:
         return f"RuleVector({str(self)!r})"
+
+    def __reduce__(self):
+        # Rebuilt from the text form; the fields are not the constructor's.
+        return type(self), (str(self),)
 
 
 def _charpoly_bits(mask: int, n: int) -> int:

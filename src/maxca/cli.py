@@ -21,8 +21,8 @@ import argparse
 import os
 import sys
 
-# stream_bits and pack_bits are unused here but stay bound: the benchmark's
-# traced run (perfbench/layertrace.py) wraps both names in this module.
+# stream_bits, pack_bits and order_of_x are unused here but stay bound: the
+# benchmark's traced run (perfbench/layertrace.py) wraps them in this module.
 from .automaton import (
     _STEP_MAX_N,
     CaState,
@@ -37,6 +37,7 @@ from .charpoly import RuleVector, characteristic_polynomial
 from .enumerator import enumerate_maxlen
 from .gf2poly import X, _format_lsb, _pack_blocks, format_poly, parse_poly
 from .primitivity import (
+    _order_of_x,
     enumerate_primitive,
     factorize_mersenne,
     is_irreducible,
@@ -121,9 +122,11 @@ def _cmd_charpoly(args) -> int:
 def _cmd_primitive(args) -> int:
     p = parse_poly(args.poly)
     # Checks the degree (>= 1) before factorize_mersenne reads it.
-    irreducible = is_irreducible(p)
+    primitive = is_primitive(p)
     f = factorize_mersenne(p.degree)
-    primitive = is_primitive(p, f)
+    # Order 2^n - 1 implies irreducible, so a primitive p needs no test
+    # and its order is 2^n - 1; otherwise one test serves both lines.
+    irreducible = primitive or is_irreducible(p)
     print(f"polynomial: {format_poly(p)}")
     print(f"degree: {p.degree}")
     print(f"irreducible: {'yes' if irreducible else 'no'}")
@@ -132,7 +135,7 @@ def _cmd_primitive(args) -> int:
     elif p == X:
         print(f"order of x: undefined (x = 0 mod x), full order would be {f.value}")
     else:
-        print(f"order of x: {order_of_x(p, f)} of {f.value}")
+        print(f"order of x: {f.value if primitive else _order_of_x(p, f)} of {f.value}")
     print(f"primitive: {'yes' if primitive else 'no'}")
     return 0
 

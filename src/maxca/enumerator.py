@@ -12,10 +12,9 @@ fall through the cascade: even coefficient weight, zero constant term
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
 
 from .charpoly import RuleVector, _charpoly_bits, reverse
-from .gf2poly import Gf2Poly, _reverse_bits, format_poly
+from .gf2poly import Gf2Poly, _Record, _reverse_bits, format_poly
 # factorize_mersenne is not called here; it stays bound because
 # perfbench/layertrace.py wraps maxca.enumerator's names, this one too.
 from .primitivity import enumerate_primitive, factorize_mersenne, is_primitive
@@ -34,22 +33,27 @@ __all__ = [
 EXHAUSTIVE_CAP = 20
 
 
-@dataclass(frozen=True)
-class MaxLenEntry:
+class MaxLenEntry(_Record):
     """One (rule vector, primitive characteristic polynomial) pair."""
+
+    __slots__ = ("n", "rule_vector", "polynomial")
 
     n: int
     rule_vector: RuleVector
     polynomial: Gf2Poly
+
+    def __init__(self, n: int, rule_vector: RuleVector, polynomial: Gf2Poly):
+        super().__init__(n, rule_vector, polynomial)
 
     def is_palindrome(self) -> bool:
         """True when the rule vector is its own mirror image."""
         return self.rule_vector == reverse(self.rule_vector)
 
 
-@dataclass(frozen=True)
-class FilterStats:
+class FilterStats(_Record):
     """How the 2^n diagonals fell through the rejection cascade."""
+
+    __slots__ = ("n", "total", "even_weight", "zero_constant", "not_primitive", "survivors")
 
     n: int
     total: int
@@ -57,6 +61,11 @@ class FilterStats:
     zero_constant: int
     not_primitive: int
     survivors: int
+
+    def __init__(
+        self, n: int, total: int, even_weight: int, zero_constant: int, not_primitive: int, survivors: int
+    ):
+        super().__init__(n, total, even_weight, zero_constant, not_primitive, survivors)
 
 
 def _check_n(n: int, force: bool) -> None:

@@ -16,6 +16,9 @@ a polynomial p, from p(x)^B = p(x^B): it makes the m-sequence behind
 `enumerate_primitive` and the bitstream behind `maxca stream`.
 `_first_bits` is the one cut of its endless run to a bit count, and
 `_pack_blocks` the one packer of its blocks into bytes.
+
+`_Record` is the immutable base of every value type in the package,
+here because every other module imports this one.
 """
 
 from __future__ import annotations
@@ -45,7 +48,48 @@ class DegreeOverflowError(ValueError):
     """A polynomial of degree > MAX_DEGREE was to be made."""
 
 
-class Gf2Poly:
+class _Record:
+    # Immutable value whose fields are the __slots__ of its class, in
+    # order: the subclass's __init__ validates, then passes the values to
+    # _Record.__init__, which sets them once (Gf2Poly and RuleVector, made
+    # on hot paths, set their slots with object.__setattr__ directly).
+    # Equality (same class, same fields), hash and repr go by the field
+    # tuple, as a frozen dataclass's do, and pickling and copying rebuild
+    # through the constructor, so a subclass whose constructor takes
+    # other arguments overrides __reduce__.
+
+    __slots__ = ()
+
+    def __init__(self, *values):
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is self.__class__:
+            return self._fields() == other._fields()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):
+        return type(self), self._fields()
+
+
+class Gf2Poly(_Record):
     """Immutable polynomial over GF(2), bit i = coefficient of x^i.
 
     Values are canonical by construction (an int has no spare leading
@@ -72,9 +116,6 @@ class Gf2Poly:
 
     def is_zero(self) -> bool:
         return self.bits == 0
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Gf2Poly is immutable")
 
     def __eq__(self, other) -> bool:
         if isinstance(other, Gf2Poly):

@@ -16,10 +16,9 @@ m-sequence of the least one (made by the block kernel of gf2poly).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
-from .gf2poly import ONE, X, Gf2Poly, gcd, pow_x_mod
+from .gf2poly import ONE, X, Gf2Poly, _Record, gcd, pow_x_mod
 from .gf2poly import _first_bits, _pack_blocks, _recurrence_blocks, _reverse_bits
 
 __all__ = [
@@ -62,14 +61,18 @@ def _factorize(value: int) -> tuple[tuple[int, int], ...]:
     return tuple(factors)
 
 
-@dataclass(frozen=True)
-class MersenneFactorization:
+class MersenneFactorization(_Record):
     """Prime factorization of 2^n - 1, the period of an n-cell maximum
     length automaton."""
+
+    __slots__ = ("n", "value", "prime_factors")
 
     n: int
     value: int
     prime_factors: tuple[tuple[int, int], ...]
+
+    def __init__(self, n: int, value: int, prime_factors: tuple[tuple[int, int], ...]):
+        super().__init__(n, value, prime_factors)
 
     def distinct_primes(self) -> tuple[int, ...]:
         return tuple(p for p, _ in self.prime_factors)
@@ -156,6 +159,11 @@ def order_of_x(p: Gf2Poly, f: MersenneFactorization | None = None) -> int:
         raise ValueError("x has no order modulo x, where it is 0")
     if f is None:
         f = factorize_mersenne(n)
+    return _order_of_x(p, f)
+
+
+def _order_of_x(p: Gf2Poly, f: MersenneFactorization) -> int:
+    # order_of_x without its checks, for a caller that has made them.
     return _period(f, lambda t: pow_x_mod(t, p) == ONE)
 
 

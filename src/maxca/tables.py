@@ -12,12 +12,9 @@ diagnostics and never silently dropped or edited.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from importlib import resources
-
 from .automaton import _STEP_MAX_N, _cycle_length_jump, cycle_length_from, unit_seed
 from .charpoly import RuleVector, characteristic_polynomial
-from .gf2poly import format_poly, parse_poly
+from .gf2poly import _Record, format_poly, parse_poly
 from .primitivity import is_primitive
 
 __all__ = [
@@ -32,30 +29,43 @@ __all__ = [
 _DATA = "data/maxlen_rules.txt"
 
 
-@dataclass(frozen=True)
-class TableRow:
+class TableRow(_Record):
     """One printed (cell count, polynomial, rule vector) triple."""
+
+    __slots__ = ("n", "poly_str", "rv_str")
 
     n: int
     poly_str: str
     rv_str: str
 
-    def __post_init__(self):
-        if parse_poly(self.poly_str).degree != self.n:
-            raise ValueError(f"polynomial must have degree {self.n}: {self.poly_str!r}")
-        if len(RuleVector(self.rv_str)) != self.n:
-            raise ValueError(f"rule vector must have {self.n} cells: {self.rv_str!r}")
+    def __init__(self, n: int, poly_str: str, rv_str: str):
+        if parse_poly(poly_str).degree != n:
+            raise ValueError(f"polynomial must have degree {n}: {poly_str!r}")
+        if len(RuleVector(rv_str)) != n:
+            raise ValueError(f"rule vector must have {n} cells: {rv_str!r}")
+        super().__init__(n, poly_str, rv_str)
 
 
-@dataclass(frozen=True)
-class RowVerdict:
+class RowVerdict(_Record):
     """Outcome of the three checks for one row."""
+
+    __slots__ = ("row", "computed_poly", "charpoly_match", "poly_primitive", "cycle_length")
 
     row: TableRow
     computed_poly: str
     charpoly_match: bool
     poly_primitive: bool
     cycle_length: int | None
+
+    def __init__(
+        self,
+        row: TableRow,
+        computed_poly: str,
+        charpoly_match: bool,
+        poly_primitive: bool,
+        cycle_length: int | None,
+    ):
+        super().__init__(row, computed_poly, charpoly_match, poly_primitive, cycle_length)
 
     @property
     def passed(self) -> bool:
@@ -80,11 +90,15 @@ class RowVerdict:
         return "; ".join(parts)
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(_Record):
+    __slots__ = ("total", "passed", "failures")
+
     total: int
     passed: int
     failures: tuple[RowVerdict, ...]
+
+    def __init__(self, total: int, passed: int, failures: tuple[RowVerdict, ...]):
+        super().__init__(total, passed, failures)
 
     def errata_lines(self) -> list[str]:
         """Failures in the dataset's row format plus a reason column."""
@@ -116,6 +130,10 @@ def _parse_line(line: str, lineno: int) -> TableRow | None:
 
 def load_rows(n: int | None = None) -> list[TableRow]:
     """The embedded rows, in print order, optionally filtered to one n."""
+    # Imported here, not at the top: only this function reads the data,
+    # and the import costs every process that imports maxca.
+    from importlib import resources
+
     text = resources.files(__package__).joinpath(_DATA).read_text()
     rows = []
     for lineno, line in enumerate(text.splitlines(), start=1):

@@ -113,6 +113,23 @@ class TestPrimitive:
         assert code == 2
         assert "error" in err
 
+    @pytest.mark.parametrize(
+        "poly, tests",
+        [("100011101", 0), ("11111", 1), ("101", 1), ("10", 1)],
+    )
+    def test_at_most_one_irreducibility_test(self, capsys, monkeypatch, poly, tests):
+        # Primitive: none, order 2^n - 1 implies irreducible. Otherwise
+        # one, whether or not the order of x is printed.
+        import maxca.cli as cli
+        import maxca.primitivity as primitivity
+
+        calls = []
+        for module in (cli, primitivity):
+            fn = module.is_irreducible
+            monkeypatch.setattr(module, "is_irreducible", lambda p, fn=fn: calls.append(p) or fn(p))
+        assert run_main(capsys, "primitive", "--poly", poly)[0] == 0
+        assert len(calls) == tests
+
 
 class TestCycle:
     def test_non_maxlen_short_cycle(self, capsys):

@@ -8,6 +8,7 @@ import sys
 
 import pytest
 
+import maxca
 from maxca.automaton import cycle_length_from, unit_seed
 from maxca.charpoly import RuleVector, characteristic_polynomial, reverse
 from maxca.enumerator import (
@@ -119,6 +120,19 @@ class TestEnumerateMaxlen:
             check=True,
         ).stdout
         assert out == "False\n"
+
+    def test_import_loads_no_dataclasses_typing_or_resources(self):
+        # Without site (-S), nothing preloads these; maxca must not need them.
+        src = os.path.dirname(os.path.dirname(maxca.__file__))
+        heavy = ("dataclasses", "inspect", "typing", "importlib.resources")
+        out = subprocess.run(
+            [sys.executable, "-S", "-c", f"import sys, maxca; print([m for m in {heavy!r} if m in sys.modules])"],
+            capture_output=True,
+            text=True,
+            check=True,
+            env={**os.environ, "PYTHONPATH": src},
+        ).stdout
+        assert out == "[]\n"
 
     def test_oracle_equivalence_small(self):
         # Raw simulation agrees with the algebraic route; acceptance
