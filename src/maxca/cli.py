@@ -34,7 +34,6 @@ from .automaton import (
     unit_seed,
 )
 from .charpoly import RuleVector, characteristic_polynomial
-from .enumerator import enumerate_maxlen
 from .gf2poly import X, _format_lsb, _pack_blocks, format_poly, parse_poly
 from .primitivity import (
     _order_of_x,
@@ -44,9 +43,23 @@ from .primitivity import (
     is_primitive,
     order_of_x,
 )
-from .tables import verify_all
 
 __all__ = ["main"]
+
+
+# `enumerator` and `tables` are imported on first call, so only `enum` and
+# `verify-tables` compile them. The handlers call these names, which the
+# traced run wraps in this module.
+def enumerate_maxlen(n, **kwargs):
+    from .enumerator import enumerate_maxlen
+
+    return enumerate_maxlen(n, **kwargs)
+
+
+def verify_all(n):
+    from .tables import verify_all
+
+    return verify_all(n)
 
 
 class _Parser(argparse.ArgumentParser):

@@ -131,7 +131,7 @@ def _parse_line(line: str, lineno: int) -> TableRow | None:
 def load_rows(n: int | None = None) -> list[TableRow]:
     """The embedded rows, in print order, optionally filtered to one n."""
     # Imported here, not at the top: only this function reads the data,
-    # and the import costs every process that imports maxca.
+    # so the rest of `tables` works without loading `importlib.resources`.
     from importlib import resources
 
     text = resources.files(__package__).joinpath(_DATA).read_text()
@@ -164,8 +164,13 @@ def verify_row(row: TableRow) -> RowVerdict:
 
 
 def verify_all(n: int | None = None) -> VerificationReport:
-    """Verify every embedded row (or just those for one n)."""
-    verdicts = [verify_row(r) for r in load_rows(n)]
+    """Verify every embedded row (or just those for one n). A cell count
+    the table has no row for is a ValueError, not an empty report."""
+    rows = load_rows(n)
+    if not rows:
+        ns = sorted({r.n for r in load_rows()})
+        raise ValueError(f"no table rows for n = {n}; the table covers n = {ns[0]}..{ns[-1]}")
+    verdicts = [verify_row(r) for r in rows]
     failures = tuple(v for v in verdicts if not v.passed)
     return VerificationReport(
         total=len(verdicts),

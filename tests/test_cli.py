@@ -326,6 +326,13 @@ class TestVerifyTables:
         lines = path.read_text().splitlines()
         assert len(lines) == 7  # header comment + six findings
 
+    @pytest.mark.parametrize("argv", [("--n", "13"), ("--n", "0"), ("--n", "-1"), ("--n", "13", "--strict")])
+    def test_n_outside_table_exits_2(self, capsys, argv):
+        code, out, err = run_main(capsys, "verify-tables", *argv)
+        assert code == 2
+        assert out == ""
+        assert err == f"maxca verify-tables: error: no table rows for n = {argv[1]}; the table covers n = 2..12\n"
+
 
 class TestPrimpolyList:
     def test_n18_digest(self, capsys):

@@ -1,0 +1,140 @@
+"""The lazy package: `import maxca` compiles no submodule, a public name
+imports its module on first use, and each subcommand loads only the
+modules it runs."""
+
+import ast
+import os
+import subprocess
+import sys
+
+import pytest
+
+import maxca
+
+_SRC = os.path.dirname(os.path.dirname(maxca.__file__))
+
+# Stdlib modules that maxca keeps off its start-up path: `dataclasses`,
+# `inspect` and `typing` are slow to import, `importlib.resources` is
+# needed only to read the table and `concurrent.futures` only for workers.
+_HEAVY = ("dataclasses", "inspect", "typing", "importlib.resources", "concurrent.futures")
+
+_PRINT_LOADED = "import sys; print(sorted(sys.modules))"
+
+# Run as `python -m maxca.cli ARGS` does, then list the modules loaded.
+_RUN_CLI = f"""
+import runpy, sys
+sys.argv[0] = "maxca"
+try:
+    runpy.run_module("maxca.cli", run_name="__main__")
+except SystemExit as exc:
+    assert not exc.code, exc.code
+{_PRINT_LOADED}
+"""
+
+_QUERIES = [
+    ("charpoly", "--rules", "00000110"),
+    ("primitive", "--poly", "100011101"),
+    ("primitive", "--poly", "100011011"),
+    ("cycle", "--rules", "1101"),
+    ("cycle", "--rules", "0000011000"),
+    ("stream", "--rules", "00000110", "--bits", "16", "--ascii"),
+    ("primpoly-list", "--n", "5"),
+]
+
+
+def loaded_modules(code: str, *argv: str) -> list[str]:
+    # Without site (-S), nothing preloads the stdlib modules checked here.
+    out = subprocess.run(
+        [sys.executable, "-S", "-c", code, *argv],
+        capture_output=True,
+        text=True,
+        check=True,
+        env={**os.environ, "PYTHONPATH": _SRC},
+    ).stdout
+    return ast.literal_eval(out.splitlines()[-1])
+
+
+def maxca_modules(code: str, *argv: str) -> list[str]:
+    return [m for m in loaded_modules(code, *argv) if m.split(".")[0] == "maxca"]
+
+
+class TestLoadContract:
+    def test_import_loads_no_submodule(self):
+        assert maxca_modules(f"import maxca; {_PRINT_LOADED}") == ["maxca"]
+
+    @pytest.mark.parametrize("argv", _QUERIES)
+    def test_queries_load_neither_enumerator_nor_tables(self, argv):
+        loaded = maxca_modules(_RUN_CLI, *argv)
+        assert "maxca.automaton" in loaded
+        assert "maxca.enumerator" not in loaded
+        assert "maxca.tables" not in loaded
+
+    def test_enum_does_not_load_tables(self):
+        loaded = maxca_modules(_RUN_CLI, "enum", "--n", "4")
+        assert "maxca.enumerator" in loaded
+        assert "maxca.tables" not in loaded
+
+    def test_verify_tables_does_not_load_enumerator(self):
+        loaded = maxca_modules(_RUN_CLI, "verify-tables", "--n", "4")
+        assert "maxca.tables" in loaded
+        assert "maxca.enumerator" not in loaded
+
+    @pytest.mark.parametrize(
+        "name, count",
+        [("format_poly", 1), ("is_primitive", 2), ("reverse", 3), ("unit_seed", 4), ("enumerate_maxlen", 5), ("verify_all", 6)],
+    )
+    def test_name_loads_its_module_and_those_before_it(self, name, count):
+        # The cost of resolving a name through the package, pinned: the
+        # first `count` modules of the resolution order, no others.
+        loaded = maxca_modules(f"import maxca; maxca.{name}; {_PRINT_LOADED}")
+        assert loaded == sorted(["maxca"] + [f"maxca.{m}" for m in maxca._MODULES[:count]])
+
+    def test_name_in_a_loaded_module_imports_no_other(self):
+        loaded = maxca_modules(f"import maxca.tables; maxca.verify_all; {_PRINT_LOADED}")
+        assert "maxca.enumerator" not in loaded
+
+    def test_version_needs_no_submodule(self):
+        assert maxca_modules(f"import maxca; maxca.__version__; {_PRINT_LOADED}") == ["maxca"]
+
+
+class TestLazyApi:
+    def test_star_import_binds_exactly_all(self):
+        namespace = {}
+        exec("from maxca import *", namespace)
+        del namespace["__builtins__"]
+        assert sorted(namespace) == maxca.__all__
+
+    def test_unknown_attribute_raises_attribute_error(self):
+        with pytest.raises(AttributeError, match=r"^module 'maxca' has no attribute 'no_such_name'$"):
+            maxca.no_such_name
+        assert not hasattr(maxca, "no_such_name")
+
+    def test_dir_lists_every_public_name_and_module(self):
+        names = dir(maxca)
+        assert names == sorted(names)
+        assert set(maxca.__all__) <= set(names)
+        assert {"gf2poly", "charpoly", "primitivity", "automaton", "enumerator", "tables", "__version__"} <= set(names)
+
+    def test_submodule_attribute_imports_the_module(self):
+        assert "maxca.tables" in maxca_modules(f"import maxca; maxca.tables.verify_all; {_PRINT_LOADED}")
+
+    def test_resolved_name_is_cached(self):
+        value = maxca.verify_all
+        assert vars(maxca)["verify_all"] is value
+
+
+class TestNoHeavyImports:
+    def test_full_load_imports_none(self):
+        code = f"import sys, maxca; from maxca import *; maxca.__all__; print([m for m in {_HEAVY!r} if m in sys.modules])"
+        assert loaded_modules(code) == []
+
+    def test_enumerator_leaves_process_pool_unloaded(self):
+        code = "import sys, maxca.enumerator; print(['concurrent.futures' in sys.modules])"
+        assert loaded_modules(code) == [False]
+
+    @pytest.mark.parametrize("argv", [*_QUERIES, ("enum", "--n", "6"), ("verify-tables", "--n", "4")])
+    def test_cli_child_imports_none(self, argv):
+        loaded = set(loaded_modules(_RUN_CLI, *argv))
+        # Reading the table needs `importlib.resources`, which imports `typing`.
+        allowed = {"importlib.resources", "typing"} if argv[0] == "verify-tables" else set()
+        assert loaded & set(_HEAVY) == allowed

@@ -166,6 +166,11 @@ class TestVerifyAll:
         assert content[0].startswith("#")
         assert len(content) == 7
 
+    @pytest.mark.parametrize("n", [13, 1, 0, -1])
+    def test_n_without_rows_is_an_error(self, n):
+        with pytest.raises(ValueError, match=rf"^no table rows for n = {n}; the table covers n = 2\.\.12$"):
+            verify_all(n)
+
     def test_table_rows_visit_distinct_nonzero_states(self):
         # One full period from the unit seed touches every nonzero state
         # exactly once; walk it explicitly for the smaller blocks.

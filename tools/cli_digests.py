@@ -43,6 +43,7 @@ USAGE_ERRORS = [
     ("primitive", "--poly", "1" + "0" * 64 + "1"),
     ("primpoly-list", "--n", "1"),
     ("primpoly-list", "--n", "33"),
+    ("verify-tables", "--n", "13"),
 ]
 
 
