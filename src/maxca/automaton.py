@@ -16,7 +16,7 @@ the order of x, `primitivity._period`, picks the trials.
 
 A bitstream does not step once per bit. Every tap sequence obeys the
 recurrence of the characteristic polynomial p (Cayley-Hamilton), so
-after n stepped blocks the block kernel of gf2poly makes each B-bit
+after n stepped bits the block kernel of gf2poly makes each B-bit
 block from weight(p) earlier ones, and `gf2poly._first_bits` cuts that
 endless run to the bit count. `stream_bits` keeps the per-step
 generator as the reference.
@@ -210,14 +210,9 @@ def _stream_chunks(rv: RuleVector, seed: CaState, count: int, tap: int = 0) -> I
     Working memory is at most 2n blocks, whatever the count.
     """
     _check_stream_args(rv, seed, count, tap)
-    # A step costs about four XORs a bit, and a doubling level of the
-    # recurrence n*w XORs whatever its block size, so the n head blocks
-    # are stepped with about w/4 bits each: below that, doubling costs more.
+    # The first n bits are stepped; the recurrence of p makes the rest.
     p = _charpoly_bits(rv.mask, rv.n)
-    size = min(1 << (max((p.bit_count() - 1) // 4, 1).bit_length() - 1), _BLOCK_BITS)
-    stepped = stream_bits(rv, seed, rv.n * size, tap)
-    head = (sum(next(stepped) << k for k in range(size)) for _ in range(rv.n))
-    return _first_bits(_recurrence_blocks(p, head, size), count)
+    return _first_bits(_recurrence_blocks(p, stream_bits(rv, seed, rv.n, tap)), count)
 
 
 def pack_bits(bits: Iterable[int]) -> bytes:

@@ -61,14 +61,6 @@ class RuleVector(_Record):
         """Flags as a tuple, index i = cell i."""
         return tuple((self.mask >> i) & 1 for i in range(self.n))
 
-    def __eq__(self, other) -> bool:
-        if isinstance(other, RuleVector):
-            return self.n == other.n and self.mask == other.mask
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.n, self.mask))
-
     def __len__(self) -> int:
         return self.n
 

@@ -190,13 +190,15 @@ def _cmd_stream(args) -> int:
 
 def _cmd_verify_tables(args) -> int:
     report = verify_all(args.n)
+    # Written before any output, so a path that cannot be opened exits 2
+    # with stdout empty.
+    if args.errata:
+        report.write_errata(args.errata)
     for line in report.errata_lines():
         print(f"FAIL {line}")
     print(f"rows: {report.total}")
     print(f"passed: {report.passed}")
     print(f"failed: {len(report.failures)}")
-    if args.errata:
-        report.write_errata(args.errata)
     if report.failures and args.strict:
         return 1
     return 0

@@ -42,9 +42,6 @@ class MaxLenEntry(_Record):
     rule_vector: RuleVector
     polynomial: Gf2Poly
 
-    def __init__(self, n: int, rule_vector: RuleVector, polynomial: Gf2Poly):
-        super().__init__(n, rule_vector, polynomial)
-
     def is_palindrome(self) -> bool:
         """True when the rule vector is its own mirror image."""
         return self.rule_vector == reverse(self.rule_vector)
@@ -61,11 +58,6 @@ class FilterStats(_Record):
     zero_constant: int
     not_primitive: int
     survivors: int
-
-    def __init__(
-        self, n: int, total: int, even_weight: int, zero_constant: int, not_primitive: int, survivors: int
-    ):
-        super().__init__(n, total, even_weight, zero_constant, not_primitive, survivors)
 
 
 def _check_n(n: int, force: bool) -> None:
@@ -139,7 +131,7 @@ def enumerate_maxlen(n: int, *, jobs: int = 1, force: bool = False) -> list[MaxL
     hits, _ = _scan(n, _primitive_set(n), jobs)
     hits.sort(key=lambda t: (t[1], _reverse_bits(t[0], n)))
     return [
-        MaxLenEntry(n=n, rule_vector=RuleVector.from_mask(mask, n), polynomial=Gf2Poly(bits))
+        MaxLenEntry(n, RuleVector.from_mask(mask, n), Gf2Poly(bits))
         for mask, bits in hits
     ]
 
@@ -165,11 +157,4 @@ def filter_stats(n: int, *, force: bool = False) -> FilterStats:
     """Count how many diagonals each rejection step removed."""
     _check_n(n, force)
     hits, (even_weight, zero_constant, not_primitive) = _scan(n, _primitive_set(n))
-    return FilterStats(
-        n=n,
-        total=1 << n,
-        even_weight=even_weight,
-        zero_constant=zero_constant,
-        not_primitive=not_primitive,
-        survivors=len(hits),
-    )
+    return FilterStats(n, 1 << n, even_weight, zero_constant, not_primitive, len(hits))

@@ -50,18 +50,37 @@ class DegreeOverflowError(ValueError):
 
 class _Record:
     # Immutable value whose fields are the __slots__ of its class, in
-    # order: the subclass's __init__ validates, then passes the values to
-    # _Record.__init__, which sets them once (Gf2Poly and RuleVector, made
-    # on hot paths, set their slots with object.__setattr__ directly).
-    # Equality (same class, same fields), hash and repr go by the field
-    # tuple, as a frozen dataclass's do, and pickling and copying rebuild
-    # through the constructor, so a subclass whose constructor takes
-    # other arguments overrides __reduce__.
+    # order. The constructor takes them positionally or by keyword, as a
+    # frozen dataclass's does, and raises TypeError unless each field
+    # gets exactly one value. A subclass that validates (CaState,
+    # TableRow) does so in its own __init__, then calls this one; Gf2Poly
+    # and RuleVector, made on hot paths, set their slots with
+    # object.__setattr__ directly. Equality (same class, same fields),
+    # hash and repr go by the field tuple, and pickling and copying
+    # rebuild through the constructor, so a subclass whose constructor
+    # takes other arguments overrides __reduce__.
 
     __slots__ = ()
 
-    def __init__(self, *values):
-        for name, value in zip(self.__slots__, values):
+    def __init__(self, *args, **kwargs):
+        names = self.__slots__
+        if kwargs or len(args) != len(names):
+            # Not one positional value per field: bind by name.
+            cls = type(self).__name__
+            if len(args) > len(names):
+                raise TypeError(f"{cls} takes {len(names)} fields, got {len(args)} positional")
+            values = dict(zip(names, args))
+            for name, value in kwargs.items():
+                if name not in names:
+                    raise TypeError(f"{cls} has no field {name!r}")
+                if name in values:
+                    raise TypeError(f"{cls} got field {name!r} twice")
+                values[name] = value
+            missing = [name for name in names if name not in values]
+            if missing:
+                raise TypeError(f"{cls} is missing field(s) {', '.join(missing)}")
+            args = [values[name] for name in names]
+        for name, value in zip(names, args):
             object.__setattr__(self, name, value)
 
     def _fields(self) -> tuple:
@@ -93,7 +112,7 @@ class Gf2Poly(_Record):
     """Immutable polynomial over GF(2), bit i = coefficient of x^i.
 
     Values are canonical by construction (an int has no spare leading
-    zeros), so equality and hashing are plain int comparisons.
+    zeros), so _Record's equality and hash by the one field are exact.
     """
 
     __slots__ = ("bits",)
@@ -116,14 +135,6 @@ class Gf2Poly(_Record):
 
     def is_zero(self) -> bool:
         return self.bits == 0
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, Gf2Poly):
-            return self.bits == other.bits
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(self.bits)
 
     def __bool__(self) -> bool:
         return bool(self.bits)
@@ -275,18 +286,19 @@ def weight(p: Gf2Poly) -> int:
 _BLOCK_BITS = 1 << 15
 
 
-def _recurrence_blocks(p: int, head, size: int):
+def _recurrence_blocks(p: int, head):
     # (block, bits) pairs without end, bit i of a block = its i-th term,
     # for the sequence that obeys p of degree n and starts with the n
-    # blocks of `size` bits (a power of two) that the iterable head gives
-    # as they are needed. Over GF(2), p(x)^B = p(x^B) for B = 2^k, so
-    # block t+n of B bits is the XOR of blocks t+j over the w terms x^j
-    # of p below x^n. Each doubling appends n blocks and pairs all 2n up
-    # into n of twice the size, n*w XORs whatever the size, until the
-    # size is _BLOCK_BITS; then a window of 2n blocks slides.
+    # bits that the iterable head gives as they are needed, each a block
+    # of one bit. Over GF(2), p(x)^B = p(x^B) for B = 2^k, so block t+n
+    # of B bits is the XOR of blocks t+j over the w terms x^j of p below
+    # x^n. Each doubling appends n blocks and pairs all 2n up into n of
+    # twice the size, n*w XORs whatever the size, until the size is
+    # _BLOCK_BITS; then a window of 2n blocks slides.
     n = p.bit_length() - 1
     lags = [j for j in range(n) if (p >> j) & 1]
     window = []
+    size = 1
     for block in head:
         window.append(block)
         yield block, size

@@ -71,9 +71,6 @@ class MersenneFactorization(_Record):
     value: int
     prime_factors: tuple[tuple[int, int], ...]
 
-    def __init__(self, n: int, value: int, prime_factors: tuple[tuple[int, int], ...]):
-        super().__init__(n, value, prime_factors)
-
     def distinct_primes(self) -> tuple[int, ...]:
         return tuple(p for p, _ in self.prime_factors)
 
@@ -95,7 +92,7 @@ def factorize_mersenne(n: int) -> MersenneFactorization:
     if not 1 <= n <= MAX_FACTOR_N:
         raise ValueError(f"trial division factors 2^n - 1 only for n in 1..{MAX_FACTOR_N}, got n={n}")
     value = (1 << n) - 1
-    return MersenneFactorization(n=n, value=value, prime_factors=_factorize(value))
+    return MersenneFactorization(n, value, _factorize(value))
 
 
 def _degree(p: Gf2Poly) -> int:
@@ -201,7 +198,7 @@ def primitive_count(n: int) -> int:
 def _m_sequence(p: int, n: int) -> bytes:
     # One period (2^n - 1 bits) of the sequence that obeys p, from the
     # impulse seed, packed LSB-first.
-    blocks = _recurrence_blocks(p, [1] + [0] * (n - 1), 1)
+    blocks = _recurrence_blocks(p, [1] + [0] * (n - 1))
     return b"".join(_pack_blocks(_first_bits(blocks, (1 << n) - 1)))
 
 

@@ -57,16 +57,6 @@ class RowVerdict(_Record):
     poly_primitive: bool
     cycle_length: int | None
 
-    def __init__(
-        self,
-        row: TableRow,
-        computed_poly: str,
-        charpoly_match: bool,
-        poly_primitive: bool,
-        cycle_length: int | None,
-    ):
-        super().__init__(row, computed_poly, charpoly_match, poly_primitive, cycle_length)
-
     @property
     def passed(self) -> bool:
         return (
@@ -96,9 +86,6 @@ class VerificationReport(_Record):
     total: int
     passed: int
     failures: tuple[RowVerdict, ...]
-
-    def __init__(self, total: int, passed: int, failures: tuple[RowVerdict, ...]):
-        super().__init__(total, passed, failures)
 
     def errata_lines(self) -> list[str]:
         """Failures in the dataset's row format plus a reason column."""
@@ -155,11 +142,11 @@ def verify_row(row: TableRow) -> RowVerdict:
     computed = characteristic_polynomial(rv)
     printed = parse_poly(row.poly_str)
     return RowVerdict(
-        row=row,
-        computed_poly=format_poly(computed),
-        charpoly_match=computed == printed,
-        poly_primitive=is_primitive(printed),
-        cycle_length=measure(rv, unit_seed(row.n)),
+        row,
+        format_poly(computed),
+        computed == printed,
+        is_primitive(printed),
+        measure(rv, unit_seed(row.n)),
     )
 
 
@@ -172,8 +159,4 @@ def verify_all(n: int | None = None) -> VerificationReport:
         raise ValueError(f"no table rows for n = {n}; the table covers n = {ns[0]}..{ns[-1]}")
     verdicts = [verify_row(r) for r in rows]
     failures = tuple(v for v in verdicts if not v.passed)
-    return VerificationReport(
-        total=len(verdicts),
-        passed=len(verdicts) - len(failures),
-        failures=failures,
-    )
+    return VerificationReport(len(verdicts), len(verdicts) - len(failures), failures)

@@ -367,6 +367,16 @@ class TestUsageErrors:
         assert proc.stderr.count(b"\n") == 1
         assert b"Traceback" not in proc.stderr
 
+    @pytest.mark.parametrize("argv", [
+        ("stream", "--rules", "10", "--bits", "8", "--out"),
+        ("verify-tables", "--n", "2", "--errata"),
+    ])
+    def test_unwritable_output_path_prints_nothing(self, tmp_path, argv):
+        # The path is opened before any result reaches stdout.
+        proc = run_proc(*argv, str(tmp_path / "missing" / "file"))
+        assert proc.returncode == 2
+        assert proc.stdout == b""
+
     def test_unknown_flag(self):
         proc = run_proc("enum", "--n", "2", "--bogus")
         assert proc.returncode == 2

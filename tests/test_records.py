@@ -79,3 +79,39 @@ def test_validation_keeps_its_messages():
         TableRow(4, "1011", "0110")
     with pytest.raises(ValueError, match="rule vector must have 3 cells"):
         TableRow(n=3, poly_str="1011", rv_str="0110")
+
+
+# The records that take their fields straight through _Record's binder.
+BOUND = [
+    value for value, _ in VALUES
+    if type(value) in (MaxLenEntry, FilterStats, MersenneFactorization, RowVerdict, VerificationReport)
+]
+BOUND_IDS = [type(value).__name__ for value in BOUND]
+
+
+def _fields(value):
+    return [getattr(value, name) for name in type(value).__slots__]
+
+
+@pytest.mark.parametrize("value", BOUND, ids=BOUND_IDS)
+def test_positional_and_keyword_construction_agree(value):
+    cls, names, fields = type(value), type(value).__slots__, _fields(value)
+    assert cls(*fields) == value
+    assert cls(**dict(zip(names, fields))) == value
+    assert cls(*fields[:1], **dict(zip(names[1:], fields[1:]))) == value
+    assert cls(**dict(reversed(list(zip(names, fields))))) == value
+
+
+@pytest.mark.parametrize("value", BOUND, ids=BOUND_IDS)
+def test_each_field_needs_exactly_one_value(value):
+    cls, names, fields = type(value), type(value).__slots__, _fields(value)
+    calls = [
+        lambda: cls(*fields[:-1]),  # last field missing
+        lambda: cls(**dict(zip(names[1:], fields[1:]))),  # first field missing
+        lambda: cls(*fields, 0),  # extra positional
+        lambda: cls(*fields, bogus=0),  # unknown keyword
+        lambda: cls(*fields[:1], **dict(zip(names, fields))),  # keyword repeats a positional
+    ]
+    for call in calls:
+        with pytest.raises(TypeError):
+            call()

@@ -44,6 +44,7 @@ USAGE_ERRORS = [
     ("primpoly-list", "--n", "1"),
     ("primpoly-list", "--n", "33"),
     ("verify-tables", "--n", "13"),
+    ("verify-tables", "--n", "2", "--errata", "missing/errata.txt"),
 ]
 
 
