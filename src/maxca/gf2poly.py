@@ -23,6 +23,8 @@ here because every other module imports this one.
 
 from __future__ import annotations
 
+from operator import attrgetter
+
 __all__ = [
     "MAX_DEGREE",
     "DegreeOverflowError",
@@ -55,12 +57,19 @@ class _Record:
     # gets exactly one value. A subclass that validates (CaState,
     # TableRow) does so in its own __init__, then calls this one; Gf2Poly
     # and RuleVector, made on hot paths, set their slots with
-    # object.__setattr__ directly. Equality (same class, same fields),
-    # hash and repr go by the field tuple, and pickling and copying
-    # rebuild through the constructor, so a subclass whose constructor
-    # takes other arguments overrides __reduce__.
+    # object.__setattr__ directly. Equality (same class, same fields)
+    # and hash go by the field values, read by one attrgetter per class
+    # (a lone field reads as itself, not a tuple), since Gf2Poly == ONE
+    # runs once per order-test trial. Repr goes by the fields in order,
+    # and pickling and copying rebuild through the constructor, so a
+    # subclass whose constructor takes other arguments overrides
+    # __reduce__.
 
     __slots__ = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls._values = attrgetter(*cls.__slots__)
 
     def __init__(self, *args, **kwargs):
         names = self.__slots__
@@ -83,9 +92,6 @@ class _Record:
         for name, value in zip(names, args):
             object.__setattr__(self, name, value)
 
-    def _fields(self) -> tuple:
-        return tuple(getattr(self, name) for name in self.__slots__)
-
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
 
@@ -94,18 +100,19 @@ class _Record:
 
     def __eq__(self, other) -> bool:
         if other.__class__ is self.__class__:
-            return self._fields() == other._fields()
+            values = self._values
+            return values(self) == values(other)
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash(self._fields())
+        return hash(self._values(self))
 
     def __repr__(self) -> str:
         fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
         return f"{type(self).__qualname__}({fields})"
 
     def __reduce__(self):
-        return type(self), self._fields()
+        return type(self), tuple(getattr(self, name) for name in self.__slots__)
 
 
 class Gf2Poly(_Record):

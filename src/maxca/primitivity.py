@@ -10,7 +10,10 @@ The least t with x^t = 1 (or T^t s = s) is found in one place,
 `_period`, for `order_of_x` and for the automaton's jump-ahead cycle
 measurement. Nothing is looked up: the primitive polynomials of any n
 up to LISTING_CAP are generated on demand, by decimating the
-m-sequence of the least one (made by the block kernel of gf2poly).
+m-sequence of the least one (made by the block kernel of gf2poly) and
+running Berlekamp-Massey on every decimation at once, each one a bit
+lane of the same big ints (module `lanes`, which only the listing
+imports).
 """
 
 from __future__ import annotations
@@ -37,9 +40,10 @@ __all__ = [
 # need real factoring machinery and is out of scope.
 MAX_FACTOR_N = 32
 
-# The listing keeps one packed period, (2^n - 1)/8 bytes, and every
-# polynomial it finds, phi(2^n - 1)/n of them: at n = 24, 2 MiB and
-# 276,480; at n = 32, 512 MiB and about 67 million (several GB).
+# The listing holds one period unpacked to a byte per bit, 2^n - 1
+# bytes, and every polynomial it finds, phi(2^n - 1)/n of them: at
+# n = 24, 16 MiB and 276,480; at n = 32, 4 GiB and about 67 million
+# (several GB more).
 LISTING_CAP = 24
 
 
@@ -207,7 +211,8 @@ def _berlekamp_massey(bits) -> int:
     generates the 0/1 sequence `bits`, as coefficient bits.
 
     A sequence of linear complexity L is pinned down by its first 2L
-    terms. The all-zero sequence gives 1 (degree 0).
+    terms. The all-zero sequence gives 1 (degree 0). The test oracle
+    of the bit-sliced pass in `lanes`, which the listing runs.
     """
     conn, prev, length, gap, window = 1, 1, 0, 1, 0
     for i, bit in enumerate(bits):
@@ -249,8 +254,11 @@ def enumerate_primitive(n: int) -> list[Gf2Poly]:
     the decimation s[k*i mod (2^n - 1)] is an m-sequence whose minimal
     polynomial is primitive, Berlekamp-Massey recovers it from 2n
     terms, and each cyclotomic coset of k gives a distinct polynomial.
-    Working memory is one bit-packed period, (2^n - 1)/8 bytes, next
-    to the result list, so n stops at LISTING_CAP.
+    The coset leaders run as the bit lanes of one branch-free
+    Berlekamp-Massey pass (`lanes`, 16,384 lanes at a time), and each
+    lane must end with linear complexity n, or RuntimeError. Working memory is
+    one period unpacked to a byte per bit, 2^n - 1 bytes, next to the
+    result list, so n stops at LISTING_CAP.
     """
     if n < 2:
         raise ValueError(f"n must be at least 2, got {n}")
@@ -265,18 +273,9 @@ def enumerate_primitive(n: int) -> list[Gf2Poly]:
         for bits in range((1 << n) | 1, 1 << (n + 1), 2)
         if bits.bit_count() % 2 == 1 and is_primitive(Gf2Poly(bits), f)
     )
-    seq = _m_sequence(p0, n)
-    found = []
-    for k in _coset_leaders(n):
-        if math.gcd(k, period) != 1:
-            continue
-        decimated = []
-        idx = 0
-        for _ in range(2 * n):
-            decimated.append((seq[idx >> 3] >> (idx & 7)) & 1)
-            idx += k
-            if idx >= period:
-                idx -= period
-        found.append(_berlekamp_massey(decimated))
+    from .lanes import _minimal_polynomials  # compiled only where a listing runs
+
+    leaders = (k for k in _coset_leaders(n) if math.gcd(k, period) == 1)
+    found = _minimal_polynomials(_m_sequence(p0, n), period, leaders, n)
     found.sort()
     return [Gf2Poly(bits) for bits in found]

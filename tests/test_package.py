@@ -69,6 +69,12 @@ class TestLoadContract:
         assert "maxca.enumerator" not in loaded
         assert "maxca.tables" not in loaded
 
+    @pytest.mark.parametrize("argv", _QUERIES)
+    def test_only_a_listing_loads_lanes(self, argv):
+        # The bit-sliced pass compiles only where the primitive listing runs.
+        loaded = maxca_modules(_RUN_CLI, *argv)
+        assert ("maxca.lanes" in loaded) == (argv[0] == "primpoly-list")
+
     def test_enum_does_not_load_tables(self):
         loaded = maxca_modules(_RUN_CLI, "enum", "--n", "4")
         assert "maxca.enumerator" in loaded

@@ -20,6 +20,8 @@ from maxca.primitivity import (
     order_of_x,
     primitive_count,
 )
+from maxca import lanes
+from maxca.lanes import _decimations, _digits, _massey_lanes, _minimal_polynomials
 
 
 def P(s: str) -> Gf2Poly:
@@ -274,6 +276,14 @@ class TestEnumeratePrimitive:
             "03a3da732a629b9df37bbdd2e46522e8a120a5a8cd91bec4d21c29ae87da39ff"
         )
 
+    def test_n22_pinned(self):
+        # The first pin above n = 20: 120,032 lanes, eight bit-sliced passes.
+        text = "".join(format_poly(p) + "\n" for p in enumerate_primitive(22))
+        assert text.count("\n") == 120032 == primitive_count(22)
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "26f8d70b9cd578fdfab73ad1c03b5f94f312b0ed36fe117f25430c5aba5d4758"
+        )
+
     @pytest.mark.parametrize("n", range(2, 15))
     def test_matches_filter_oracle(self, n):
         assert [p.bits for p in enumerate_primitive(n)] == _filter_primitive(n)
@@ -356,3 +366,59 @@ class TestDecimationParts:
             want = sum(mobius(d) << (n // d) for d in range(1, n + 1) if n % d == 0) // n
             assert len(leaders) == want, n
             assert leaders == sorted(set(leaders)), n
+
+
+def _decimated(packed: bytes, k: int, n: int) -> list[int]:
+    """The first 2n terms of s[k*i mod 2^n - 1], read bit by bit."""
+    period = (1 << n) - 1
+    return [(packed[k * i % period >> 3] >> (k * i % period & 7)) & 1 for i in range(2 * n)]
+
+
+def _least_primitive(n: int) -> int:
+    return next(bits for bits in range((1 << n) | 1, 1 << (n + 1), 2) if is_primitive(Gf2Poly(bits)))
+
+
+class TestMasseyLanes:
+    """The bit-sliced pass against the scalar Berlekamp-Massey, lane by
+    lane: one lane per coprime coset leader, as the listing runs it."""
+
+    @pytest.mark.parametrize("n", range(2, 17))
+    def test_every_coset_matches_the_scalar_oracle(self, n):
+        period = (1 << n) - 1
+        packed = _m_sequence(_least_primitive(n), n)
+        leaders = [k for k in _coset_leaders(n) if math.gcd(k, period) == 1]
+        words = list(_decimations(_digits(packed), period, leaders, 2 * n))
+        terms = [_decimated(packed, k, n) for k in leaders]
+        assert words == [sum(bits[i] << lane for lane, bits in enumerate(terms)) for i in range(2 * n)]
+        assert _massey_lanes(words, n, len(leaders)) == [_berlekamp_massey(bits) for bits in terms]
+
+    @pytest.mark.parametrize(
+        "lane",
+        [
+            _decimated(_m_sequence(0b100011101, 8), 17, 8),  # 17 divides 255: complexity 4
+            [0] * 16,  # complexity 0
+            [0] * 15 + [1],  # complexity 16
+        ],
+        ids=["shared-factor", "zero", "impulse-last"],
+    )
+    def test_a_lane_of_other_complexity_raises(self, lane):
+        n, period = 8, 255
+        leaders = [k for k in _coset_leaders(n) if math.gcd(k, period) == 1]
+        words = list(_decimations(_digits(_m_sequence(0b100011101, n)), period, leaders, 2 * n))
+        assert _massey_lanes(words, n, len(leaders))  # every coprime lane passes
+        assert _berlekamp_massey(lane).bit_length() - 1 != n
+        words = [word & ~1 | bit for word, bit in zip(words, lane)]
+        with pytest.raises(RuntimeError, match="linear complexity"):
+            _massey_lanes(words, n, len(leaders))
+
+    @pytest.mark.parametrize("per_pass", [1, 7, 59])
+    def test_passes_of_any_width_give_the_same_polynomials(self, monkeypatch, per_pass):
+        # 60 lanes at n = 10: one lane per pass, a short last pass, and a
+        # last pass of one lane.
+        n, period = 10, 1023
+        packed = _m_sequence(_least_primitive(n), n)
+        leaders = [k for k in _coset_leaders(n) if math.gcd(k, period) == 1]
+        whole = _minimal_polynomials(packed, period, leaders, n)
+        assert sorted(whole) == [p.bits for p in enumerate_primitive(n)]
+        monkeypatch.setattr(lanes, "_LANES", per_pass)
+        assert _minimal_polynomials(packed, period, iter(leaders), n) == whole

@@ -10,6 +10,7 @@ from maxca.automaton import CaState
 from maxca.charpoly import RuleVector
 from maxca.enumerator import FilterStats, MaxLenEntry
 from maxca.gf2poly import Gf2Poly
+from maxca.gf2poly import _Record
 from maxca.primitivity import MersenneFactorization, factorize_mersenne
 from maxca.tables import RowVerdict, TableRow, VerificationReport
 
@@ -115,3 +116,18 @@ def test_each_field_needs_exactly_one_value(value):
     for call in calls:
         with pytest.raises(TypeError):
             call()
+
+
+def test_two_record_classes_with_equal_values_are_unequal():
+    # Equality reads each class's own fields; the class decides first.
+    class Left(_Record):
+        __slots__ = ("a", "b")
+
+    class Right(_Record):
+        __slots__ = ("a", "b")
+
+    assert Left(1, 2) == Left(a=1, b=2)
+    assert Left(1, 2) != Right(1, 2)
+    assert Right(1, 2) != Left(1, 2)
+    assert CaState(bits=2, n=2) != RuleVector.from_mask(2, 2)  # fields (2, 2) both
+    assert Gf2Poly(5) != 5

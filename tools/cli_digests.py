@@ -14,7 +14,9 @@ trees and compare the outputs, or their sha256.
 The commands: `enum --n 2..16` in both formats, `primpoly-list --n
 2..16`, the stream and audit commands of the benchmark's seeds 1-10
 (from perfbench/workloads.py), `verify-tables` plain, --strict, --n 5
-and --errata, and usage errors that must exit 2 with one stderr line.
+and --errata, usage errors that must exit 2 with one stderr line, and
+last `primpoly-list --n 17..20`, appended so that the lines before them
+still compare with the output of earlier versions of this script.
 None of them runs longer than a few seconds.
 """
 
@@ -65,7 +67,7 @@ def _command_list() -> list[tuple[str, ...]]:
         ("verify-tables", "--n", "5"),
         ("verify-tables", "--errata", "errata.txt"),
     ]
-    return argvs + USAGE_ERRORS
+    return argvs + USAGE_ERRORS + [("primpoly-list", "--n", str(n)) for n in range(17, 21)]
 
 
 def _sha256(data: bytes) -> str:
