@@ -77,8 +77,8 @@ def _build_parser() -> _Parser:
     p.add_argument("--format", choices=["paper", "tsv"], default="paper",
                    help="two-column table or TSV with header")
     p.add_argument("--jobs", type=int, default=1,
-                   help="worker processes (default 1), at most one per CPU; "
-                        "output is identical regardless")
+                   help="accepted for compatibility (>= 1, default 1); "
+                        "the scan runs in one process")
     p.add_argument("--force", action="store_true",
                    help="allow n beyond the exhaustive-mode cap")
 

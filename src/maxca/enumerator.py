@@ -11,8 +11,6 @@ fall through the cascade: even coefficient weight, zero constant term
 
 from __future__ import annotations
 
-import os
-
 from .charpoly import RuleVector, _charpoly_bits, reverse
 from .gf2poly import Gf2Poly, _Record, _reverse_bits, format_poly
 # factorize_mersenne is not called here; it stays bound because
@@ -74,15 +72,13 @@ def _primitive_set(n: int) -> frozenset[int]:
     return frozenset(p.bits for p in enumerate_primitive(n))
 
 
-def _scan_range(
-    n: int, start: int, stop: int, targets: frozenset[int]
-) -> tuple[list[tuple[int, int]], tuple[int, int, int]]:
-    # Diagonals in [start, stop) whose polynomial is in targets, as
-    # (diagonal mask, polynomial bits), and the cascade counts (even
-    # weight, zero constant, not in targets) of the rest.
+def _scan(n: int, targets: frozenset[int]) -> tuple[list[tuple[int, int]], tuple[int, int, int]]:
+    # All 2^n diagonals whose polynomial is in targets, as (diagonal
+    # mask, polynomial bits), and the cascade counts (even weight, zero
+    # constant, not in targets) of the rest.
     even_weight = zero_constant = missed = 0
     hits = []
-    for mask in range(start, stop):
+    for mask in range(1 << n):
         bits = _charpoly_bits(mask, n)
         if bits.bit_count() % 2 == 0:
             even_weight += 1
@@ -95,40 +91,19 @@ def _scan_range(
     return hits, (even_weight, zero_constant, missed)
 
 
-def _scan(
-    n: int, targets: frozenset[int], jobs: int = 1
-) -> tuple[list[tuple[int, int]], tuple[int, int, int]]:
-    # All 2^n diagonals, split over at most one worker process per CPU.
-    total = 1 << n
-    workers = min(jobs, os.cpu_count() or 1)
-    if workers == 1 or total < 4 * workers:
-        return _scan_range(n, 0, total, targets)
-    from concurrent.futures import ProcessPoolExecutor
-
-    chunk = -(-total // workers)
-    starts = range(0, total, chunk)
-    stops = [min(lo + chunk, total) for lo in starts]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        parts = list(
-            pool.map(_scan_range, [n] * len(starts), starts, stops, [targets] * len(starts))
-        )
-    hits = [hit for part, _ in parts for hit in part]
-    return hits, tuple(map(sum, zip(*(counts for _, counts in parts))))
-
-
 def enumerate_maxlen(n: int, *, jobs: int = 1, force: bool = False) -> list[MaxLenEntry]:
     """Every n-cell maximum-length rule vector with its polynomial.
 
     One scan of the 2^n diagonals against the set of primitive
-    polynomials of degree n, which is built once, before the scan and
-    in this process. jobs > 1 splits the scan over worker processes,
-    at most one per CPU. Output is sorted by (polynomial binary value,
-    rule-vector text value) and is identical regardless of jobs.
+    polynomials of degree n, which is built once, before the scan. The
+    whole search runs in this process: jobs (>= 1) is accepted so that
+    existing callers keep working, and changes nothing. Output is
+    sorted by (polynomial binary value, rule-vector text value).
     """
     _check_n(n, force)
     if jobs < 1:
         raise ValueError("jobs must be >= 1")
-    hits, _ = _scan(n, _primitive_set(n), jobs)
+    hits, _ = _scan(n, _primitive_set(n))
     hits.sort(key=lambda t: (t[1], _reverse_bits(t[0], n)))
     return [
         MaxLenEntry(n, RuleVector.from_mask(mask, n), Gf2Poly(bits))

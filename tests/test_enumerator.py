@@ -1,7 +1,6 @@
 """Exhaustive search: table reproduction, filter soundness, mirror
 closure, and agreement with raw simulation."""
 
-import concurrent.futures
 import os
 import subprocess
 import sys
@@ -84,35 +83,8 @@ class TestEnumerateMaxlen:
         want.sort(key=lambda t: (int(t[0], 2), t[1]))
         assert entry_strings(enumerate_maxlen(n)) == want
 
-    def test_workers_bounded_by_cpu_count(self, monkeypatch):
-        sizes = []
-
-        class InlinePool:
-            # Records the requested size and runs the chunks in this process.
-            def __init__(self, max_workers):
-                sizes.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, *iterables):
-                return map(fn, *iterables)
-
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
-        want = entry_strings(enumerate_maxlen(8, jobs=1))
-        monkeypatch.setattr(os, "cpu_count", lambda: 3)
-        assert entry_strings(enumerate_maxlen(8, jobs=8)) == want
-        assert sizes == [3]
-        for cpus in (1, None):
-            monkeypatch.setattr(os, "cpu_count", lambda: cpus)
-            assert entry_strings(enumerate_maxlen(8, jobs=8)) == want
-        assert sizes == [3]
-
     def test_import_leaves_process_pool_unloaded(self):
-        # The pool machinery is imported only when a scan uses workers.
+        # No scan starts a process pool, so nothing imports its machinery.
         out = subprocess.run(
             [sys.executable, "-c", "import sys, maxca; print('concurrent.futures' in sys.modules)"],
             capture_output=True,

@@ -15,7 +15,8 @@ _SRC = os.path.dirname(os.path.dirname(maxca.__file__))
 
 # Stdlib modules that maxca keeps off its start-up path: `dataclasses`,
 # `inspect` and `typing` are slow to import, `importlib.resources` is
-# needed only to read the table and `concurrent.futures` only for workers.
+# needed only to read the table and `concurrent.futures` never (the scan
+# runs in one process).
 _HEAVY = ("dataclasses", "inspect", "typing", "importlib.resources", "concurrent.futures")
 
 _PRINT_LOADED = "import sys; print(sorted(sys.modules))"
@@ -138,7 +139,9 @@ class TestNoHeavyImports:
         code = "import sys, maxca.enumerator; print(['concurrent.futures' in sys.modules])"
         assert loaded_modules(code) == [False]
 
-    @pytest.mark.parametrize("argv", [*_QUERIES, ("enum", "--n", "6"), ("verify-tables", "--n", "4")])
+    @pytest.mark.parametrize(
+        "argv", [*_QUERIES, ("enum", "--n", "6"), ("verify-tables", "--n", "4"), ("enum", "--n", "10", "--jobs", "4")]
+    )
     def test_cli_child_imports_none(self, argv):
         loaded = set(loaded_modules(_RUN_CLI, *argv))
         # Reading the table needs `importlib.resources`, which imports `typing`.

@@ -14,10 +14,12 @@ trees and compare the outputs, or their sha256.
 The commands: `enum --n 2..16` in both formats, `primpoly-list --n
 2..16`, the stream and audit commands of the benchmark's seeds 1-10
 (from perfbench/workloads.py), `verify-tables` plain, --strict, --n 5
-and --errata, usage errors that must exit 2 with one stderr line, and
-last `primpoly-list --n 17..20`, appended so that the lines before them
-still compare with the output of earlier versions of this script.
-None of them runs longer than a few seconds.
+and --errata, usage errors that must exit 2 with one stderr line, then
+`primpoly-list --n 17..20`, and last `enum --n 12 --jobs 4` in both
+formats (the same stdout as without --jobs) and `enum --n 4 --jobs 0`
+(exit 2, one stderr line). The later groups are appended so that the
+lines before them still compare with the output of earlier versions of
+this script. None of them runs longer than a few seconds.
 """
 
 from __future__ import annotations
@@ -67,7 +69,14 @@ def _command_list() -> list[tuple[str, ...]]:
         ("verify-tables", "--n", "5"),
         ("verify-tables", "--errata", "errata.txt"),
     ]
-    return argvs + USAGE_ERRORS + [("primpoly-list", "--n", str(n)) for n in range(17, 21)]
+    argvs += USAGE_ERRORS
+    argvs += [("primpoly-list", "--n", str(n)) for n in range(17, 21)]
+    argvs += [
+        ("enum", "--n", "12", "--jobs", "4"),
+        ("enum", "--n", "12", "--jobs", "4", "--format", "tsv"),
+        ("enum", "--n", "4", "--jobs", "0"),
+    ]
+    return argvs
 
 
 def _sha256(data: bytes) -> str:
