@@ -9,11 +9,9 @@ measurement that needs the factors stops there with the same message.
 The least t with x^t = 1 (or T^t s = s) is found in one place,
 `_period`, for `order_of_x` and for the automaton's jump-ahead cycle
 measurement. Nothing is looked up: the primitive polynomials of any n
-up to LISTING_CAP are generated on demand, by decimating the
-m-sequence of the least one (made by the block kernel of gf2poly) and
-running Berlekamp-Massey on every decimation at once, each one a bit
-lane of the same big ints (module `lanes`, which only the listing
-imports).
+up to LISTING_CAP are generated on demand. This module checks n and
+finds the least primitive one by order tests; module `lanes`, which
+only the listing imports, derives all the others from its m-sequence.
 """
 
 from __future__ import annotations
@@ -22,7 +20,6 @@ import math
 from functools import lru_cache
 
 from .gf2poly import ONE, X, Gf2Poly, _Record, gcd, pow_x_mod
-from .gf2poly import _first_bits, _pack_blocks, _recurrence_blocks, _reverse_bits
 
 __all__ = [
     "LISTING_CAP",
@@ -40,10 +37,9 @@ __all__ = [
 # need real factoring machinery and is out of scope.
 MAX_FACTOR_N = 32
 
-# The listing holds one period unpacked to a byte per bit, 2^n - 1
-# bytes, and every polynomial it finds, phi(2^n - 1)/n of them: at
-# n = 24, 16 MiB and 276,480; at n = 32, 4 GiB and about 67 million
-# (several GB more).
+# The listing holds one period as a digit per term, 2^n - 1 bytes, and
+# every polynomial it finds, phi(2^n - 1)/n of them: at n = 24, 16 MiB
+# and 276,480; at n = 32, 4 GiB and about 67 million (several GB more).
 LISTING_CAP = 24
 
 
@@ -199,52 +195,6 @@ def primitive_count(n: int) -> int:
     return factorize_mersenne(n).euler_phi() // n
 
 
-def _m_sequence(p: int, n: int) -> bytes:
-    # One period (2^n - 1 bits) of the sequence that obeys p, from the
-    # impulse seed, packed LSB-first.
-    blocks = _recurrence_blocks(p, [1] + [0] * (n - 1))
-    return b"".join(_pack_blocks(_first_bits(blocks, (1 << n) - 1)))
-
-
-def _berlekamp_massey(bits) -> int:
-    """Characteristic polynomial of the shortest linear recurrence that
-    generates the 0/1 sequence `bits`, as coefficient bits.
-
-    A sequence of linear complexity L is pinned down by its first 2L
-    terms. The all-zero sequence gives 1 (degree 0). The test oracle
-    of the bit-sliced pass in `lanes`, which the listing runs.
-    """
-    conn, prev, length, gap, window = 1, 1, 0, 1, 0
-    for i, bit in enumerate(bits):
-        # Bit j of window is s[i - j]; bit j of conn is the connection
-        # coefficient c_j, so the discrepancy is their dot product.
-        window = (window << 1) | bit
-        if (conn & window).bit_count() & 1:
-            if 2 * length <= i:
-                conn, prev = conn ^ (prev << gap), conn
-                length, gap = i + 1 - length, 1
-                continue
-            conn ^= prev << gap
-        gap += 1
-    # x^L * C(1/x): the connection polynomial read backwards.
-    return _reverse_bits(conn, length + 1)
-
-
-def _coset_leaders(n: int):
-    # Smallest member of each cyclotomic coset {k * 2^j mod 2^n - 1} of
-    # size n: multiplying by 2 rotates k's n-bit pattern, so these are
-    # the binary Lyndon words of length n (Duval's generator, O(n)
-    # memory), in ascending order. One step repeats the word to length
-    # n, drops its trailing 1s and sets its last character to 1.
-    word = "0"
-    while word:
-        if len(word) == n:
-            yield int(word, 2)
-        word = (word * -(-n // len(word)))[:n].rstrip("1")
-        if word:
-            word = word[:-1] + "1"
-
-
 def enumerate_primitive(n: int) -> list[Gf2Poly]:
     """All primitive polynomials of degree n, ascending by binary value.
 
@@ -256,9 +206,9 @@ def enumerate_primitive(n: int) -> list[Gf2Poly]:
     terms, and each cyclotomic coset of k gives a distinct polynomial.
     The coset leaders run as the bit lanes of one branch-free
     Berlekamp-Massey pass (`lanes`, 16,384 lanes at a time), and each
-    lane must end with linear complexity n, or RuntimeError. Working memory is
-    one period unpacked to a byte per bit, 2^n - 1 bytes, next to the
-    result list, so n stops at LISTING_CAP.
+    lane must end with linear complexity n, or RuntimeError. Working
+    memory is one period as a digit per term, 2^n - 1 bytes, next to
+    the result list, so n stops at LISTING_CAP.
     """
     if n < 2:
         raise ValueError(f"n must be at least 2, got {n}")
@@ -267,15 +217,11 @@ def enumerate_primitive(n: int) -> list[Gf2Poly]:
         raise ValueError(
             f"listing the primitive polynomials of degree {n} exceeds the n<={LISTING_CAP} cap"
         )
-    period = f.value
     p0 = next(
         bits
         for bits in range((1 << n) | 1, 1 << (n + 1), 2)
         if bits.bit_count() % 2 == 1 and is_primitive(Gf2Poly(bits), f)
     )
-    from .lanes import _minimal_polynomials  # compiled only where a listing runs
+    from .lanes import _primitive_bits  # compiled only where a listing runs
 
-    leaders = (k for k in _coset_leaders(n) if math.gcd(k, period) == 1)
-    found = _minimal_polynomials(_m_sequence(p0, n), period, leaders, n)
-    found.sort()
-    return [Gf2Poly(bits) for bits in found]
+    return [Gf2Poly(bits) for bits in sorted(_primitive_bits(p0, n))]

@@ -1,13 +1,24 @@
-"""The library's answers checked against each other on random inputs:
-the bitstream against the characteristic polynomial, and the measured
-cycle against the order of x. Ranges come from the library's ceilings."""
+"""The library's answers checked against each other: the bitstream
+against the characteristic polynomial and the measured cycle against
+the order of x, on random inputs; the exhaustive search against the
+count of primitive polynomials; and the factoring against an
+independent oracle. Ranges come from the library's ceilings."""
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from maxca.automaton import CaState, _cycle_length_jump, _stream_chunks
-from maxca.charpoly import RuleVector, characteristic_polynomial
+from maxca.charpoly import RuleVector, characteristic_polynomial, reverse
+from maxca.enumerator import enumerate_maxlen
 from maxca.gf2poly import _BLOCK_BITS, MAX_DEGREE, _mod
-from maxca.primitivity import MAX_FACTOR_N, _berlekamp_massey, is_irreducible, order_of_x
+from maxca.lanes import _berlekamp_massey
+from maxca.primitivity import (
+    MAX_FACTOR_N,
+    factorize_mersenne,
+    is_irreducible,
+    order_of_x,
+    primitive_count,
+)
 
 
 def _window(rv, seed, tap, start, count):
@@ -85,3 +96,34 @@ class TestCycleIsOrderOfX:
         rv, seed = case
         p = characteristic_polynomial(rv)
         assert _cycle_length_jump(rv, seed, force=True) == order_of_x(p)
+
+
+class TestEnumMatchesCounts:
+    @pytest.mark.parametrize("n", range(2, 15))
+    def test_two_mirror_images_per_primitive_polynomial(self, n):
+        # Every primitive p is the charpoly of exactly two rule vectors,
+        # mirror images of each other and never the same vector.
+        entries = enumerate_maxlen(n)
+        assert len(entries) == 2 * primitive_count(n)
+        assert not any(e.is_palindrome() for e in entries)
+        vectors = {e.rule_vector for e in entries}
+        assert {reverse(rv) for rv in vectors} == vectors
+
+
+class TestFactoringMatchesAnOracle:
+    def test_every_n_against_sympy(self):
+        sympy = pytest.importorskip("sympy")
+        for n in range(1, MAX_FACTOR_N + 1):
+            assert dict(factorize_mersenne(n).prime_factors) == sympy.factorint(2**n - 1), n
+
+    @pytest.mark.parametrize(
+        "n, factors",
+        [
+            (29, ((233, 1), (1103, 1), (2089, 1))),
+            (30, ((3, 2), (7, 1), (11, 1), (31, 1), (151, 1), (331, 1))),
+            (31, ((2**31 - 1, 1),)),
+            (32, ((3, 1), (5, 1), (17, 1), (257, 1), (65537, 1))),
+        ],
+    )
+    def test_pinned_factorizations(self, n, factors):
+        assert factorize_mersenne(n).prime_factors == factors

@@ -2,16 +2,15 @@
 primality, divisor-scan irreducibility, and explicit residue orbits."""
 
 import hashlib
+import importlib.util
 import math
+import os
 
 import pytest
 
 from maxca.gf2poly import Gf2Poly, format_poly, mod_reduce, mul, parse_poly, pow_x_mod
 from maxca.primitivity import (
     MAX_FACTOR_N,
-    _berlekamp_massey,
-    _coset_leaders,
-    _m_sequence,
     _period,
     enumerate_primitive,
     factorize_mersenne,
@@ -21,7 +20,14 @@ from maxca.primitivity import (
     primitive_count,
 )
 from maxca import lanes
-from maxca.lanes import _decimations, _digits, _massey_lanes, _minimal_polynomials
+from maxca.lanes import (
+    _berlekamp_massey,
+    _coset_leaders,
+    _decimations,
+    _m_sequence,
+    _massey_lanes,
+    _primitive_bits,
+)
 
 
 def P(s: str) -> Gf2Poly:
@@ -314,10 +320,9 @@ class TestDecimationParts:
         for n in range(2, 11):
             period = (1 << n) - 1
             for p in enumerate_primitive(n)[:3]:
-                packed = _m_sequence(p.bits, n)
-                assert len(packed) == (period + 7) // 8
-                assert int.from_bytes(packed, "little") >> period == 0
-                got = [(packed[i >> 3] >> (i & 7)) & 1 for i in range(period)]
+                digits = _m_sequence(p.bits, n)
+                assert len(digits) == period
+                got = [digit - ord("0") for digit in digits]
                 assert got == _lfsr(p.bits, [1] + [0] * (n - 1), period)
 
     def test_m_sequence_past_the_doubling_phase(self):
@@ -327,8 +332,9 @@ class TestDecimationParts:
         n, period = 20, (1 << 20) - 1
         p0 = 0b100000000000000001001  # x^20 + x^3 + 1, the least primitive
         assert is_primitive(Gf2Poly(p0))
-        seq = int.from_bytes(_m_sequence(p0, n), "little")
-        assert seq >> period == 0
+        digits = _m_sequence(p0, n)
+        assert len(digits) == period
+        seq = int(digits[::-1], 2)
         assert seq & ((1 << n) - 1) == 1
         assert seq.bit_count() == 1 << (n - 1)
         twice = seq | seq << period
@@ -368,10 +374,10 @@ class TestDecimationParts:
             assert leaders == sorted(set(leaders)), n
 
 
-def _decimated(packed: bytes, k: int, n: int) -> list[int]:
-    """The first 2n terms of s[k*i mod 2^n - 1], read bit by bit."""
+def _decimated(digits: bytearray, k: int, n: int) -> list[int]:
+    """The first 2n terms of s[k*i mod 2^n - 1], read digit by digit."""
     period = (1 << n) - 1
-    return [(packed[k * i % period >> 3] >> (k * i % period & 7)) & 1 for i in range(2 * n)]
+    return [digits[k * i % period] - ord("0") for i in range(2 * n)]
 
 
 def _least_primitive(n: int) -> int:
@@ -385,10 +391,10 @@ class TestMasseyLanes:
     @pytest.mark.parametrize("n", range(2, 17))
     def test_every_coset_matches_the_scalar_oracle(self, n):
         period = (1 << n) - 1
-        packed = _m_sequence(_least_primitive(n), n)
+        digits = _m_sequence(_least_primitive(n), n)
         leaders = [k for k in _coset_leaders(n) if math.gcd(k, period) == 1]
-        words = list(_decimations(_digits(packed), period, leaders, 2 * n))
-        terms = [_decimated(packed, k, n) for k in leaders]
+        words = list(_decimations(digits, period, leaders, 2 * n))
+        terms = [_decimated(digits, k, n) for k in leaders]
         assert words == [sum(bits[i] << lane for lane, bits in enumerate(terms)) for i in range(2 * n)]
         assert _massey_lanes(words, n, len(leaders)) == [_berlekamp_massey(bits) for bits in terms]
 
@@ -404,7 +410,7 @@ class TestMasseyLanes:
     def test_a_lane_of_other_complexity_raises(self, lane):
         n, period = 8, 255
         leaders = [k for k in _coset_leaders(n) if math.gcd(k, period) == 1]
-        words = list(_decimations(_digits(_m_sequence(0b100011101, n)), period, leaders, 2 * n))
+        words = list(_decimations(_m_sequence(0b100011101, n), period, leaders, 2 * n))
         assert _massey_lanes(words, n, len(leaders))  # every coprime lane passes
         assert _berlekamp_massey(lane).bit_length() - 1 != n
         words = [word & ~1 | bit for word, bit in zip(words, lane)]
@@ -415,10 +421,29 @@ class TestMasseyLanes:
     def test_passes_of_any_width_give_the_same_polynomials(self, monkeypatch, per_pass):
         # 60 lanes at n = 10: one lane per pass, a short last pass, and a
         # last pass of one lane.
-        n, period = 10, 1023
-        packed = _m_sequence(_least_primitive(n), n)
-        leaders = [k for k in _coset_leaders(n) if math.gcd(k, period) == 1]
-        whole = _minimal_polynomials(packed, period, leaders, n)
+        n = 10
+        p0 = _least_primitive(n)
+        whole = _primitive_bits(p0, n)
         assert sorted(whole) == [p.bits for p in enumerate_primitive(n)]
         monkeypatch.setattr(lanes, "_LANES", per_pass)
-        assert _minimal_polynomials(packed, period, iter(leaders), n) == whole
+        assert _primitive_bits(p0, n) == whole
+
+
+def _layertrace():
+    """perfbench/layertrace.py, loaded from its file without touching
+    sys.path or sys.modules."""
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "layertrace.py")
+    spec = importlib.util.spec_from_file_location("_layertrace_for_tests", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_lanes_binds_no_traced_name():
+    # The trace swaps each name of WRAPS in its module for a wrapper and
+    # puts the original back on exit. lanes is first imported lazily,
+    # possibly inside a traced run; a traced name it bound then (say
+    # `from .primitivity import is_primitive`) would keep the wrapper.
+    traced = {attr for _, attr, _, _ in _layertrace().WRAPS}
+    assert traced
+    assert not traced & set(vars(lanes))
