@@ -1,12 +1,13 @@
-"""Rule vectors and characteristic polynomials, checked against two
-independent oracles: cofactor expansion of det(xI + T) over GF(2)[x]
-and Gaussian elimination for det(T) over GF(2)."""
+"""Rule vectors and characteristic polynomials, checked against
+independent oracles: cofactor expansion of det(xI + T) over GF(2)[x],
+Gaussian elimination for det(T) and det(I + T) over GF(2), and a
+plain per-cell recurrence."""
 
 import pytest
 from hypothesis import given, strategies as st
 
 from maxca.charpoly import RuleVector, characteristic_polynomial, reverse
-from maxca.gf2poly import Gf2Poly, parse_poly
+from maxca.gf2poly import MAX_DEGREE, Gf2Poly, parse_poly
 
 
 def charpoly_str(rules: str) -> str:
@@ -167,6 +168,26 @@ class TestCharacteristicPolynomial:
                 rv = RuleVector.from_mask(mask, n)
                 const = characteristic_polynomial(rv).bits & 1
                 assert const == _gf2_det(_transition_rows(mask, n), n), (n, mask)
+
+    def test_value_at_one_is_det_I_plus_T(self):
+        # p(1) = det(I + T): the parity of the coefficients against
+        # elimination on T with its diagonal flipped, every diagonal up to
+        # n = 12, on both sides of the 8-cell table.
+        for n in range(1, 13):
+            for mask in range(1 << n):
+                rows = [row ^ (1 << i) for i, row in enumerate(_transition_rows(mask, n))]
+                at_one = characteristic_polynomial(RuleVector.from_mask(mask, n)).bits.bit_count() & 1
+                assert at_one == _gf2_det(rows, n), (n, mask)
+
+    @given(st.integers(min_value=1, max_value=MAX_DEGREE).flatmap(
+        lambda n: st.tuples(st.integers(0, (1 << n) - 1), st.just(n))))
+    def test_matches_plain_recurrence(self, case):
+        mask, n = case
+        minors = [1, 0b10 | (mask & 1)]
+        for k in range(1, n):
+            cell = 0b10 | ((mask >> k) & 1)
+            minors.append(_poly_mul(cell, minors[k]) ^ minors[k - 1])
+        assert characteristic_polynomial(RuleVector.from_mask(mask, n)).bits == minors[n]
 
 
 rule_texts = st.text(alphabet="01", min_size=1, max_size=80)

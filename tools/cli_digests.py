@@ -15,11 +15,13 @@ The commands: `enum --n 2..16` in both formats, `primpoly-list --n
 2..16`, the stream and audit commands of the benchmark's seeds 1-10
 (from perfbench/workloads.py), `verify-tables` plain, --strict, --n 5
 and --errata, usage errors that must exit 2 with one stderr line, then
-`primpoly-list --n 17..20`, and last `enum --n 12 --jobs 4` in both
-formats (the same stdout as without --jobs) and `enum --n 4 --jobs 0`
-(exit 2, one stderr line). The later groups are appended so that the
-lines before them still compare with the output of earlier versions of
-this script. None of them runs longer than a few seconds.
+`primpoly-list --n 17..20`, `enum --n 12 --jobs 4` in both formats (the
+same stdout as without --jobs) and `enum --n 4 --jobs 0` (exit 2, one
+stderr line), and last `charpoly --rules` on vectors of 7, 8, 9 and 64
+cells (both sides of charpoly's 8-cell table) and `cycle --rules` at
+n = 9 and 12 (the jump path). The later groups are appended so that
+the lines before them still compare with the output of earlier
+versions of this script. None of them runs longer than a few seconds.
 """
 
 from __future__ import annotations
@@ -76,6 +78,12 @@ def _command_list() -> list[tuple[str, ...]]:
         ("enum", "--n", "12", "--jobs", "4", "--format", "tsv"),
         ("enum", "--n", "4", "--jobs", "0"),
     ]
+    # Both sides of charpoly's 8-cell table, and the jump path of `cycle`.
+    argvs += [
+        ("charpoly", "--rules", rules)
+        for rules in ("1101001", "00000110", "101100111", "0110100110010110" * 4)
+    ]
+    argvs += [("cycle", "--rules", "000001100"), ("cycle", "--rules", "110100101011")]
     return argvs
 
 
