@@ -11,9 +11,10 @@ gf2poly's LSB-first text form and bit reversal.
 
 The recurrence for the polynomial starts, for n >= 8 cells, from a
 table of the minors of the low eight cells' 256 settings (`_LOW`, built
-once at import), so `enum`'s scan of all 2^n diagonals runs n - 8
-steps per diagonal instead of n - 1. Every result is the one the plain
-recurrence gives.
+once at import), so a call runs n - 8 steps instead of n - 1. Every
+result is the one the plain recurrence gives. The table also seeds the
+256 lanes of `enum`'s bit-sliced scan (`lanes._charpoly_lanes`), which
+is why it stays.
 """
 
 from __future__ import annotations
@@ -102,8 +103,7 @@ def _charpoly_bits(mask: int, n: int) -> int:
     #   p_0 = 1,  p_1 = x + d_0,  p_k = (x + d_{k-1}) p_{k-1} + p_{k-2}
     # over GF(2). O(n^2) bit operations, no symbolic expansion. Diagonals
     # that agree on cells 0..7 share p_7 and p_8, so from 8 cells on the
-    # recurrence starts from `_LOW` and runs only cells 8..n-1; the 2^n
-    # scan spends most of its time here.
+    # recurrence starts from `_LOW` and runs only cells 8..n-1.
     if n < _LOW_CELLS:
         prev, cur, start = 1, 2 | (mask & 1), 1
     else:

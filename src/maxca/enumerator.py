@@ -7,11 +7,14 @@ That set is built once, by decimation (`enumerate_primitive`), so no
 order test runs per diagonal. The scan still counts how the diagonals
 fall through the cascade: even coefficient weight, zero constant term
 (neither possible for a primitive polynomial), not in the set, hit.
+From 8 cells on, the scan is bit-sliced (`lanes._charpoly_lanes`): it
+runs 256 diagonals per lane word, one per setting of cells 0..7, and
+only n < 8 takes one charpoly per diagonal.
 """
 
 from __future__ import annotations
 
-from .charpoly import RuleVector, _charpoly_bits, reverse
+from .charpoly import _LOW_CELLS, RuleVector, _charpoly_bits, reverse
 from .gf2poly import Gf2Poly, _Record, _reverse_bits, format_poly
 # factorize_mersenne is not called here; it stays bound because
 # perfbench/layertrace.py wraps maxca.enumerator's names, this one too.
@@ -75,7 +78,12 @@ def _primitive_set(n: int) -> frozenset[int]:
 def _scan(n: int, targets: frozenset[int]) -> tuple[list[tuple[int, int]], tuple[int, int, int]]:
     # All 2^n diagonals whose polynomial is in targets, as (diagonal
     # mask, polynomial bits), and the cascade counts (even weight, zero
-    # constant, not in targets) of the rest.
+    # constant, not in targets) of the rest. From 8 cells on, 256
+    # diagonals at a time, one per bit lane; below that, one at a time.
+    if n >= _LOW_CELLS:
+        from .lanes import _charpoly_lanes
+
+        return _charpoly_lanes(n, targets)
     even_weight = zero_constant = missed = 0
     hits = []
     for mask in range(1 << n):

@@ -11,17 +11,25 @@ coset gives a distinct one. The decimations run as the bit lanes of big
 ints: term i of every decimation is one word, and one pass of Massey's
 algorithm over 2n words, with no branch per lane, gives every
 polynomial. `_berlekamp_massey`, one sequence at a time, is its test
-oracle. Only the listing imports this module, so the commands that
-never list (every stream and audit query) do not compile it.
+oracle.
+
+The module also holds the scan of `enumerator._scan` for 8 or more
+cells, `_charpoly_lanes`: the charpoly recurrence over 256 diagonals at
+once, one lane per setting of cells 0..7, seeded from charpoly's `_LOW`.
+Both kernels read their lanes back into ints through one transpose,
+`_lane_ints`. Of the `maxca` commands, only `enum` and `primpoly-list`
+import this module, so the others (every stream and audit query) do
+not compile it.
 """
 
 from __future__ import annotations
 
 import math
 from functools import reduce
-from itertools import islice
+from itertools import compress, islice
 from operator import add, and_, itemgetter, xor
 
+from .charpoly import _LOW, _LOW_CELLS
 from .gf2poly import _first_bits, _format_lsb, _recurrence_blocks, _reverse_bits
 
 # Lanes per pass: one pass up to n = 18, and at n = 24 seventeen, whose
@@ -118,8 +126,60 @@ def _massey_lanes(words, n: int, lanes: int) -> list[int]:
     if any(planes):
         raise RuntimeError(f"a decimation has linear complexity other than n={n}")
     # Polynomial of lane l: bit l of the coefficient words, c_0 highest.
-    rows = [_format_lsb(c, lanes) for c in conn]
-    return [int("".join(column), 2) for column in zip(*rows)]
+    return [bits for _, bits in _lane_ints(conn, lanes)]
+
+
+def _lane_ints(words, lanes: int, live: int | None = None):
+    # Bit l of every word, the first word the most significant, read as
+    # one int: yields (l, that int) for each lane l below lanes, or only
+    # for the lanes whose bit is set in live. The words' LSB-first rows
+    # are joined into one string, so lane l's digits are one slice.
+    rows = "".join([_format_lsb(w, lanes) for w in words])
+    chosen = range(lanes)
+    if live is not None:
+        chosen = compress(chosen, map("1".__eq__, _format_lsb(live, lanes)))
+    for lane in chosen:
+        yield lane, int(rows[lane::lanes], 2)
+
+
+def _charpoly_lanes(n: int, targets: frozenset[int]) -> tuple[list[tuple[int, int]], tuple[int, int, int]]:
+    # What enumerator._scan returns, for n >= 8 cells: every diagonal
+    # whose characteristic polynomial is in targets, as (diagonal mask,
+    # polynomial bits), and the counts (even weight, zero constant, not
+    # in targets) of the rest. Lane l holds the diagonals whose cells
+    # 0..7 are set as l, starting from _LOW[l], and coefficient j of p_k
+    # over every lane is one word. Cells 8..n-1 are walked depth first
+    # with one scalar flag per level, so diagonals that share their high
+    # cells share those steps, and each leaf finishes len(_LOW) of them.
+    lanes = len(_LOW)
+    # The coefficient words of p_7 and p_8, degrees 7 and 8.
+    seeds = [
+        [sum((pair[i] >> j & 1) << lane for lane, pair in enumerate(_LOW)) for j in range(_LOW_CELLS + i)]
+        for i in (0, 1)
+    ]
+    even_weight = zero_constant = missed = 0
+    hits = []
+    stack = [(_LOW_CELLS, 0, *seeds)]  # (k, flags of cells 8..k-1, p_{k-1}, p_k)
+    while stack:
+        k, high, prev, cur = stack.pop()
+        if k < n:
+            # p_{k+1} = x p_k + p_{k-1}, plus p_k where cell k is rule 150.
+            step = list(map(xor, [0, *cur], prev + [0, 0]))
+            stack.append((k + 1, high, cur, step))
+            stack.append((k + 1, high | 1 << k, cur, list(map(xor, step, cur + [0]))))
+            continue
+        # A polynomial of even weight has the factor x + 1; one with a
+        # zero constant term has the factor x. Only the rest are read.
+        odd = reduce(xor, cur)
+        live = odd & cur[0]
+        even_weight += lanes - odd.bit_count()
+        zero_constant += (odd & ~cur[0]).bit_count()
+        found = [
+            (high | lane, bits) for lane, bits in _lane_ints(cur[::-1], lanes, live) if bits in targets
+        ]
+        missed += live.bit_count() - len(found)
+        hits += found
+    return hits, (even_weight, zero_constant, missed)
 
 
 def _berlekamp_massey(bits) -> int:

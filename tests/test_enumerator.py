@@ -1,5 +1,6 @@
 """Exhaustive search: table reproduction, filter soundness, mirror
-closure, and agreement with raw simulation."""
+closure, agreement with raw simulation, and the bit-sliced scan against
+a per-diagonal loop."""
 
 import os
 import subprocess
@@ -9,20 +10,42 @@ import pytest
 
 import maxca
 from maxca.automaton import cycle_length_from, unit_seed
-from maxca.charpoly import RuleVector, characteristic_polynomial, reverse
+from maxca.charpoly import RuleVector, _charpoly_bits, characteristic_polynomial, reverse
 from maxca.enumerator import (
     EXHAUSTIVE_CAP,
+    FilterStats,
     MaxLenEntry,
+    _primitive_set,
     enumerate_maxlen,
     filter_stats,
     rule_vectors_for,
 )
 from maxca.gf2poly import format_poly, parse_poly, weight
+from maxca.lanes import _charpoly_lanes
 from maxca.primitivity import factorize_mersenne, is_primitive, primitive_count
 
 
 def entry_strings(entries):
     return [(format_poly(e.polynomial), str(e.rule_vector)) for e in entries]
+
+
+def scan_per_diagonal(n, targets):
+    # The reference for the bit-sliced scan: one charpoly per diagonal,
+    # in mask order, with the hits and the counts (even weight, zero
+    # constant, not in targets) of the rest.
+    even_weight = zero_constant = missed = 0
+    hits = []
+    for mask in range(1 << n):
+        bits = _charpoly_bits(mask, n)
+        if bits.bit_count() % 2 == 0:
+            even_weight += 1
+        elif bits & 1 == 0:
+            zero_constant += 1
+        elif bits in targets:
+            hits.append((mask, bits))
+        else:
+            missed += 1
+    return hits, (even_weight, zero_constant, missed)
 
 
 class TestEnumerateMaxlen:
@@ -167,6 +190,13 @@ class TestFilterStats:
                 == s.total
             )
 
+    @pytest.mark.parametrize("n", range(2, 15))
+    def test_each_count_matches_per_diagonal_scan(self, n):
+        hits, (even_weight, zero_constant, missed) = scan_per_diagonal(n, _primitive_set(n))
+        assert filter_stats(n) == FilterStats(
+            n, 1 << n, even_weight, zero_constant, missed, len(hits)
+        )
+
     def test_survivors_match_enumeration(self):
         for n in (2, 5, 8):
             assert filter_stats(n).survivors == len(enumerate_maxlen(n))
@@ -184,3 +214,17 @@ class TestFilterStats:
                 p = characteristic_polynomial(RuleVector.from_mask(mask, n))
                 if weight(p) % 2 == 0 or p.bits & 1 == 0:
                     assert not is_primitive(p), (n, mask)
+
+
+class TestCharpolyLanes:
+    @pytest.mark.parametrize("n", range(8, 17))
+    def test_matches_per_diagonal_scan(self, n):
+        # The primitive set, and every odd-weight polynomial of degree n
+        # with constant term 1, which every lane that passes the cascade
+        # hits, so every transposed lane is checked.
+        odd_weight = frozenset(
+            bits for bits in range((1 << n) | 1, 1 << (n + 1), 2) if bits.bit_count() % 2
+        )
+        for targets in (_primitive_set(n), odd_weight):
+            hits, counts = _charpoly_lanes(n, targets)
+            assert (sorted(hits), counts) == scan_per_diagonal(n, targets)

@@ -17,9 +17,10 @@ The commands: `enum --n 2..16` in both formats, `primpoly-list --n
 and --errata, usage errors that must exit 2 with one stderr line, then
 `primpoly-list --n 17..20`, `enum --n 12 --jobs 4` in both formats (the
 same stdout as without --jobs) and `enum --n 4 --jobs 0` (exit 2, one
-stderr line), and last `charpoly --rules` on vectors of 7, 8, 9 and 64
-cells (both sides of charpoly's 8-cell table) and `cycle --rules` at
-n = 9 and 12 (the jump path). The later groups are appended so that
+stderr line), then `charpoly --rules` on vectors of 7, 8, 9 and 64
+cells (both sides of charpoly's 8-cell table), `cycle --rules` at
+n = 9 and 12 (the jump path), and last `enum --n 17..20 --format tsv`
+(the larger bit-sliced scans). The later groups are appended so that
 the lines before them still compare with the output of earlier
 versions of this script. None of them runs longer than a few seconds.
 """
@@ -84,6 +85,7 @@ def _command_list() -> list[tuple[str, ...]]:
         for rules in ("1101001", "00000110", "101100111", "0110100110010110" * 4)
     ]
     argvs += [("cycle", "--rules", "000001100"), ("cycle", "--rules", "110100101011")]
+    argvs += [("enum", "--n", str(n), "--format", "tsv") for n in range(17, 21)]
     return argvs
 
 
