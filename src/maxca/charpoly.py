@@ -8,13 +8,6 @@ characteristic polynomial det(xI + T) decides everything interesting
 about the automaton, so mapping rule vector -> polynomial is the core
 primitive here. The text form (cell 0 first) and mirror reversal are
 gf2poly's LSB-first text form and bit reversal.
-
-The recurrence for the polynomial starts, for n >= 8 cells, from a
-table of the minors of the low eight cells' 256 settings (`_LOW`, built
-once at import), so a call runs n - 8 steps instead of n - 1. Every
-result is the one the plain recurrence gives. The table also seeds the
-256 lanes of `enum`'s bit-sliced scan (`lanes._charpoly_lanes`), which
-is why it stays.
 """
 
 from __future__ import annotations
@@ -82,33 +75,13 @@ class RuleVector(_Record):
         return type(self), (str(self),)
 
 
-# Cells whose minors `_LOW` holds, indexed by the low bits of the mask.
-_LOW_CELLS = 8
-
-
-def _low_minors() -> list[tuple[int, int]]:
-    # (p_{k-1}, p_k) for every setting of cells 0..k-1, grown one cell at
-    # a time; entry m + (d << k) extends entry m by cell k with flag d.
-    table = [(1, 2), (1, 3)]
-    for _ in range(1, _LOW_CELLS):
-        table = [(cur, (cur << 1) ^ prev ^ (cur if d else 0)) for d in (0, 1) for prev, cur in table]
-    return table
-
-
-_LOW = _low_minors()
-
-
 def _charpoly_bits(mask: int, n: int) -> int:
     # Three-term recurrence for the leading principal minors of xI + T:
     #   p_0 = 1,  p_1 = x + d_0,  p_k = (x + d_{k-1}) p_{k-1} + p_{k-2}
-    # over GF(2). O(n^2) bit operations, no symbolic expansion. Diagonals
-    # that agree on cells 0..7 share p_7 and p_8, so from 8 cells on the
-    # recurrence starts from `_LOW` and runs only cells 8..n-1.
-    if n < _LOW_CELLS:
-        prev, cur, start = 1, 2 | (mask & 1), 1
-    else:
-        (prev, cur), start = _LOW[mask & 0xFF], _LOW_CELLS
-    for i in range(start, n):
+    # over GF(2). O(n^2) bit operations, no symbolic expansion.
+    prev = 1
+    cur = 2 | (mask & 1)
+    for i in range(1, n):
         step = (cur << 1) ^ prev
         if (mask >> i) & 1:
             step ^= cur

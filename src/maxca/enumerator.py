@@ -14,7 +14,7 @@ only n < 8 takes one charpoly per diagonal.
 
 from __future__ import annotations
 
-from .charpoly import _LOW_CELLS, RuleVector, _charpoly_bits, reverse
+from .charpoly import RuleVector, _charpoly_bits, reverse
 from .gf2poly import Gf2Poly, _Record, _reverse_bits, format_poly
 # factorize_mersenne is not called here; it stays bound because
 # perfbench/layertrace.py wraps maxca.enumerator's names, this one too.
@@ -80,9 +80,9 @@ def _scan(n: int, targets: frozenset[int]) -> tuple[list[tuple[int, int]], tuple
     # mask, polynomial bits), and the cascade counts (even weight, zero
     # constant, not in targets) of the rest. From 8 cells on, 256
     # diagonals at a time, one per bit lane; below that, one at a time.
-    if n >= _LOW_CELLS:
-        from .lanes import _charpoly_lanes
+    from .lanes import _LANE_CELLS, _charpoly_lanes
 
+    if n >= _LANE_CELLS:
         return _charpoly_lanes(n, targets)
     even_weight = zero_constant = missed = 0
     hits = []

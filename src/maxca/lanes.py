@@ -15,7 +15,7 @@ oracle.
 
 The module also holds the scan of `enumerator._scan` for 8 or more
 cells, `_charpoly_lanes`: the charpoly recurrence over 256 diagonals at
-once, one lane per setting of cells 0..7, seeded from charpoly's `_LOW`.
+once, one lane per setting of cells 0..7.
 Both kernels read their lanes back into ints through one transpose,
 `_lane_ints`. Of the `maxca` commands, only `enum` and `primpoly-list`
 import this module, so the others (every stream and audit query) do
@@ -29,12 +29,14 @@ from functools import reduce
 from itertools import compress, islice
 from operator import add, and_, itemgetter, xor
 
-from .charpoly import _LOW, _LOW_CELLS
 from .gf2poly import _first_bits, _format_lsb, _recurrence_blocks, _reverse_bits
 
 # Lanes per pass: one pass up to n = 18, and at n = 24 seventeen, whose
 # index lists stay near 0.6 MB each.
 _LANES = 1 << 14
+
+# Cells that the scan's lanes set: lane l sets cells 0..7 as the bits of l.
+_LANE_CELLS = 8
 
 
 def _primitive_bits(p0: int, n: int) -> list[int]:
@@ -147,19 +149,21 @@ def _charpoly_lanes(n: int, targets: frozenset[int]) -> tuple[list[tuple[int, in
     # whose characteristic polynomial is in targets, as (diagonal mask,
     # polynomial bits), and the counts (even weight, zero constant, not
     # in targets) of the rest. Lane l holds the diagonals whose cells
-    # 0..7 are set as l, starting from _LOW[l], and coefficient j of p_k
-    # over every lane is one word. Cells 8..n-1 are walked depth first
-    # with one scalar flag per level, so diagonals that share their high
-    # cells share those steps, and each leaf finishes len(_LOW) of them.
-    lanes = len(_LOW)
-    # The coefficient words of p_7 and p_8, degrees 7 and 8.
-    seeds = [
-        [sum((pair[i] >> j & 1) << lane for lane, pair in enumerate(_LOW)) for j in range(_LOW_CELLS + i)]
-        for i in (0, 1)
-    ]
+    # 0..7 are set as l, and coefficient j of p_k over every lane is one
+    # word. Cells 0..7 run with one flag word each; cells 8..n-1 are
+    # walked depth first with one scalar flag per level, so diagonals
+    # that share their high cells share those steps, and each leaf
+    # finishes 256 of them.
+    lanes = 1 << _LANE_CELLS
+    # p_k = (x + d_{k-1}) p_{k-1} + p_{k-2} from p_{-1} = 0, p_0 = 1,
+    # where bit l of cell k's flag word is bit k of l.
+    prev, cur = [], [(1 << lanes) - 1]
+    for k in range(_LANE_CELLS):
+        flags = sum(1 << lane for lane in range(lanes) if lane >> k & 1)
+        prev, cur = cur, [a ^ b ^ (flags & c) for a, b, c in zip([0, *cur], prev + [0, 0], cur + [0])]
     even_weight = zero_constant = missed = 0
     hits = []
-    stack = [(_LOW_CELLS, 0, *seeds)]  # (k, flags of cells 8..k-1, p_{k-1}, p_k)
+    stack = [(_LANE_CELLS, 0, prev, cur)]  # (k, flags of cells 8..k-1, p_{k-1}, p_k)
     while stack:
         k, high, prev, cur = stack.pop()
         if k < n:

@@ -172,7 +172,7 @@ class TestCharacteristicPolynomial:
     def test_value_at_one_is_det_I_plus_T(self):
         # p(1) = det(I + T): the parity of the coefficients against
         # elimination on T with its diagonal flipped, every diagonal up to
-        # n = 12, on both sides of the 8-cell table.
+        # n = 12.
         for n in range(1, 13):
             for mask in range(1 << n):
                 rows = [row ^ (1 << i) for i, row in enumerate(_transition_rows(mask, n))]

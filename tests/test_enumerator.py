@@ -190,8 +190,10 @@ class TestFilterStats:
                 == s.total
             )
 
-    @pytest.mark.parametrize("n", range(2, 15))
+    @pytest.mark.parametrize("n", (8, 12))
     def test_each_count_matches_per_diagonal_scan(self, n):
+        # Each field in its place; the kernel's counts themselves are
+        # TestCharpolyLanes's.
         hits, (even_weight, zero_constant, missed) = scan_per_diagonal(n, _primitive_set(n))
         assert filter_stats(n) == FilterStats(
             n, 1 << n, even_weight, zero_constant, missed, len(hits)

@@ -18,7 +18,7 @@ and --errata, usage errors that must exit 2 with one stderr line, then
 `primpoly-list --n 17..20`, `enum --n 12 --jobs 4` in both formats (the
 same stdout as without --jobs) and `enum --n 4 --jobs 0` (exit 2, one
 stderr line), then `charpoly --rules` on vectors of 7, 8, 9 and 64
-cells (both sides of charpoly's 8-cell table), `cycle --rules` at
+cells, `cycle --rules` at
 n = 9 and 12 (the jump path), and last `enum --n 17..20 --format tsv`
 (the larger bit-sliced scans). The later groups are appended so that
 the lines before them still compare with the output of earlier
@@ -79,7 +79,7 @@ def _command_list() -> list[tuple[str, ...]]:
         ("enum", "--n", "12", "--jobs", "4", "--format", "tsv"),
         ("enum", "--n", "4", "--jobs", "0"),
     ]
-    # Both sides of charpoly's 8-cell table, and the jump path of `cycle`.
+    # charpoly on either side of 8 cells, and the jump path of `cycle`.
     argvs += [
         ("charpoly", "--rules", rules)
         for rules in ("1101001", "00000110", "101100111", "0110100110010110" * 4)
