@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from itertools import islice
 
 # stream_bits, pack_bits and order_of_x are unused here but stay bound: the
 # benchmark's traced run (perfbench/layertrace.py) wraps them in this module.
@@ -115,15 +116,21 @@ def _build_parser() -> _Parser:
     return parser
 
 
+def _write_lines(lines) -> None:
+    # About 1,024 lines per write: neither a write per line nor the
+    # whole table held as one string.
+    lines = iter(lines)
+    while chunk := list(islice(lines, 1024)):
+        sys.stdout.write("\n".join(chunk) + "\n")
+
+
 def _cmd_enum(args) -> int:
     entries = enumerate_maxlen(args.n, jobs=args.jobs, force=args.force)
     if args.format == "tsv":
         print("n\tpolynomial\trule_vector")
-        for e in entries:
-            print(f"{e.n}\t{format_poly(e.polynomial)}\t{e.rule_vector}")
+        _write_lines(f"{e.n}\t{format_poly(e.polynomial)}\t{e.rule_vector}" for e in entries)
     else:
-        for e in entries:
-            print(f"{format_poly(e.polynomial)} {e.rule_vector}")
+        _write_lines(f"{format_poly(e.polynomial)} {e.rule_vector}" for e in entries)
     return 0
 
 
@@ -205,8 +212,7 @@ def _cmd_verify_tables(args) -> int:
 
 
 def _cmd_primpoly_list(args) -> int:
-    for p in enumerate_primitive(args.n):
-        print(format_poly(p))
+    _write_lines(map(format_poly, enumerate_primitive(args.n)))
     return 0
 
 

@@ -8,11 +8,16 @@ order test runs per diagonal. The scan still counts how the diagonals
 fall through the cascade: even coefficient weight, zero constant term
 (neither possible for a primitive polynomial), not in the set, hit.
 From 8 cells on, the scan is bit-sliced (`lanes._charpoly_lanes`): it
-runs 256 diagonals per lane word, one per setting of cells 0..7, and
-only n < 8 takes one charpoly per diagonal.
+runs 256 diagonals per lane word, one per setting of cells 0..7, reads
+back one diagonal per mirror pair, and only n < 8 takes one charpoly
+per diagonal. Each hit comes with its mask reversed, the sort key of
+the output, so the results sort as plain tuples.
 """
 
 from __future__ import annotations
+
+from itertools import groupby
+from operator import itemgetter
 
 from .charpoly import RuleVector, _charpoly_bits, reverse
 from .gf2poly import Gf2Poly, _Record, _reverse_bits, format_poly
@@ -75,9 +80,10 @@ def _primitive_set(n: int) -> frozenset[int]:
     return frozenset(p.bits for p in enumerate_primitive(n))
 
 
-def _scan(n: int, targets: frozenset[int]) -> tuple[list[tuple[int, int]], tuple[int, int, int]]:
-    # All 2^n diagonals whose polynomial is in targets, as (diagonal
-    # mask, polynomial bits), and the cascade counts (even weight, zero
+def _scan(n: int, targets: frozenset[int]) -> tuple[list[tuple[int, int, int]], tuple[int, int, int]]:
+    # All 2^n diagonals whose polynomial is in targets, as (polynomial
+    # bits, reversed diagonal mask, diagonal mask), so that the tuples
+    # sort in output order, and the cascade counts (even weight, zero
     # constant, not in targets) of the rest. From 8 cells on, 256
     # diagonals at a time, one per bit lane; below that, one at a time.
     from .lanes import _LANE_CELLS, _charpoly_lanes
@@ -95,7 +101,7 @@ def _scan(n: int, targets: frozenset[int]) -> tuple[list[tuple[int, int]], tuple
         elif bits not in targets:
             missed += 1
         else:
-            hits.append((mask, bits))
+            hits.append((bits, _reverse_bits(mask, n), mask))
     return hits, (even_weight, zero_constant, missed)
 
 
@@ -112,11 +118,13 @@ def enumerate_maxlen(n: int, *, jobs: int = 1, force: bool = False) -> list[MaxL
     if jobs < 1:
         raise ValueError("jobs must be >= 1")
     hits, _ = _scan(n, _primitive_set(n))
-    hits.sort(key=lambda t: (t[1], _reverse_bits(t[0], n)))
-    return [
-        MaxLenEntry(n, RuleVector.from_mask(mask, n), Gf2Poly(bits))
-        for mask, bits in hits
-    ]
+    hits.sort()
+    entries = []
+    # A polynomial's vectors are adjacent once sorted; they share one Gf2Poly.
+    for bits, group in groupby(hits, itemgetter(0)):
+        p = Gf2Poly(bits)
+        entries += [MaxLenEntry(n, RuleVector.from_mask(mask, n), p) for _, _, mask in group]
+    return entries
 
 
 def rule_vectors_for(p: Gf2Poly, *, force: bool = False) -> list[RuleVector]:
@@ -130,10 +138,7 @@ def rule_vectors_for(p: Gf2Poly, *, force: bool = False) -> list[RuleVector]:
     n = p.degree
     _check_n(n, force)
     hits, _ = _scan(n, frozenset((p.bits,)))
-    return sorted(
-        (RuleVector.from_mask(mask, n) for mask, _ in hits),
-        key=lambda rv: _reverse_bits(rv.mask, n),
-    )
+    return [RuleVector.from_mask(mask, n) for _, _, mask in sorted(hits)]
 
 
 def filter_stats(n: int, *, force: bool = False) -> FilterStats:

@@ -15,7 +15,10 @@ oracle.
 
 The module also holds the scan of `enumerator._scan` for 8 or more
 cells, `_charpoly_lanes`: the charpoly recurrence over 256 diagonals at
-once, one lane per setting of cells 0..7.
+once, one lane per setting of cells 0..7. A diagonal and its mirror
+image have one polynomial, so it reads back only the diagonal of each
+mirror pair whose mask is at most its reversal, and each hit gives its
+mirror too.
 Both kernels read their lanes back into ints through one transpose,
 `_lane_ints`. Of the `maxca` commands, only `enum` and `primpoly-list`
 import this module, so the others (every stream and audit query) do
@@ -144,24 +147,37 @@ def _lane_ints(words, lanes: int, live: int | None = None):
         yield lane, int(rows[lane::lanes], 2)
 
 
-def _charpoly_lanes(n: int, targets: frozenset[int]) -> tuple[list[tuple[int, int]], tuple[int, int, int]]:
+def _charpoly_lanes(n: int, targets: frozenset[int]) -> tuple[list[tuple[int, int, int]], tuple[int, int, int]]:
     # What enumerator._scan returns, for n >= 8 cells: every diagonal
-    # whose characteristic polynomial is in targets, as (diagonal mask,
-    # polynomial bits), and the counts (even weight, zero constant, not
-    # in targets) of the rest. Lane l holds the diagonals whose cells
-    # 0..7 are set as l, and coefficient j of p_k over every lane is one
-    # word. Cells 0..7 run with one flag word each; cells 8..n-1 are
-    # walked depth first with one scalar flag per level, so diagonals
-    # that share their high cells share those steps, and each leaf
-    # finishes 256 of them.
+    # whose characteristic polynomial is in targets, as (polynomial
+    # bits, reversed diagonal mask, diagonal mask), and the counts (even
+    # weight, zero constant, not in targets) of the rest. Lane l holds
+    # the diagonals whose cells 0..7 are set as l, and coefficient j of
+    # p_k over every lane is one word. Cells 0..7 run with one flag word
+    # each; cells 8..n-1 are walked depth first with one scalar flag per
+    # level, so diagonals that share their high cells share those steps,
+    # and each leaf finishes 256 of them.
     lanes = 1 << _LANE_CELLS
-    # p_k = (x + d_{k-1}) p_{k-1} + p_{k-2} from p_{-1} = 0, p_0 = 1,
-    # where bit l of cell k's flag word is bit k of l.
-    prev, cur = [], [(1 << lanes) - 1]
-    for k in range(_LANE_CELLS):
-        flags = sum(1 << lane for lane in range(lanes) if lane >> k & 1)
+    full = (1 << lanes) - 1
+    # Bit l of cell k's flag word is bit k of l.
+    cells = [sum(1 << lane for lane in range(lanes) if lane >> k & 1) for k in range(_LANE_CELLS)]
+    # p_k = (x + d_{k-1}) p_{k-1} + p_{k-2} from p_{-1} = 0, p_0 = 1.
+    prev, cur = [], [full]
+    for flags in cells:
         prev, cur = cur, [a ^ b ^ (flags & c) for a, b, c in zip([0, *cur], prev + [0, 0], cur + [0])]
-    even_weight = zero_constant = missed = 0
+    # A diagonal and its mirror image have one polynomial, since reversal
+    # conjugates T, so only the lanes whose mask is at most its reversal
+    # are read back, and each hit gives its mirror too. The masks are
+    # compared pair by pair, cell i against cell n-1-i, from the middle
+    # out, so the outer pair decides: where cell n-1-i is set the mask
+    # stays at most its reversal only if cell i is set and it was so
+    # already; where it is clear, if cell i is set or it was so already.
+    # The pairs of two lane cells (n <= 14) are the same at every leaf.
+    canonical = full
+    for i in reversed(range(n - _LANE_CELLS, n // 2)):
+        outer = cells[n - 1 - i]
+        canonical = outer & cells[i] & canonical | ~outer & (cells[i] | canonical)
+    even_weight = zero_constant = live_count = 0
     hits = []
     stack = [(_LANE_CELLS, 0, prev, cur)]  # (k, flags of cells 8..k-1, p_{k-1}, p_k)
     while stack:
@@ -178,12 +194,20 @@ def _charpoly_lanes(n: int, targets: frozenset[int]) -> tuple[list[tuple[int, in
         live = odd & cur[0]
         even_weight += lanes - odd.bit_count()
         zero_constant += (odd & ~cur[0]).bit_count()
-        found = [
-            (high | lane, bits) for lane, bits in _lane_ints(cur[::-1], lanes, live) if bits in targets
-        ]
-        missed += live.bit_count() - len(found)
-        hits += found
-    return hits, (even_weight, zero_constant, missed)
+        live_count += live.bit_count()
+        # The pairs whose outer cell is one of this leaf's scalar flags.
+        keep = canonical
+        for i in reversed(range(min(n // 2, n - _LANE_CELLS))):
+            cell = cells[i] if i < _LANE_CELLS else full * (high >> i & 1)
+            keep = keep & cell if high >> (n - 1 - i) & 1 else keep | cell
+        for lane, bits in _lane_ints(cur[::-1], lanes, live & keep):
+            if bits in targets:
+                mask = high | lane
+                mirror = _reverse_bits(mask, n)
+                hits.append((bits, mirror, mask))
+                if mirror != mask:
+                    hits.append((bits, mask, mirror))
+    return hits, (even_weight, zero_constant, live_count - len(hits))
 
 
 def _berlekamp_massey(bits) -> int:

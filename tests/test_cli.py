@@ -1,6 +1,8 @@
 """Command line surface: outputs, exit codes, and stream formats."""
 
+import fcntl
 import hashlib
+import os
 import subprocess
 import sys
 import textwrap
@@ -11,6 +13,9 @@ import pytest
 from maxca.automaton import CaState, pack_bits, stream_bits
 from maxca.charpoly import RuleVector
 from maxca.cli import main
+from maxca.enumerator import rule_vectors_for
+from maxca.gf2poly import format_poly
+from maxca.primitivity import enumerate_primitive
 
 
 def run_main(capsys, *argv):
@@ -273,6 +278,37 @@ class TestStream:
             err = proc.stderr.read()
         assert len(head) == 16
         assert proc.returncode == 141  # 128 + SIGPIPE, not killed by the timer
+        assert err == b""
+
+    @pytest.mark.parametrize("command", ["enum", "primpoly-list"])
+    def test_closed_pipe_ends_table_quietly(self, command):
+        # The tables go out about 1,024 lines per write. The pipe holds one
+        # page, so the child is still writing when the reader goes, even
+        # for the 37 kB of the n = 16 listing.
+        primitive = enumerate_primitive(16)
+        if command == "enum":
+            argv = ["enum", "--n", "16", "--format", "tsv"]
+            want = [b"n\tpolynomial\trule_vector\n", f"16\t{format_poly(primitive[0])}\t{rule_vectors_for(primitive[0])[0]}\n".encode()]
+        else:
+            argv = ["primpoly-list", "--n", "16"]
+            want = [f"{format_poly(p)}\n".encode() for p in primitive[:2]]
+        read_end, write_end = os.pipe()
+        fcntl.fcntl(write_end, fcntl.F_SETPIPE_SZ, 4096)
+        proc = subprocess.Popen([sys.executable, "-m", "maxca.cli", *argv], stdout=write_end, stderr=subprocess.PIPE)
+        os.close(write_end)
+        timer = threading.Timer(20, proc.kill)
+        timer.start()
+        try:
+            with open(read_end, "rb") as out:
+                head = [out.readline(), out.readline()]
+            proc.wait()
+        finally:
+            timer.cancel()
+            proc.kill()
+        with proc.stderr:
+            err = proc.stderr.read()
+        assert head == want
+        assert proc.returncode == 141
         assert err == b""
 
     def test_memory_does_not_grow_with_bits(self, tmp_path):

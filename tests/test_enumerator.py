@@ -20,13 +20,19 @@ from maxca.enumerator import (
     filter_stats,
     rule_vectors_for,
 )
-from maxca.gf2poly import format_poly, parse_poly, weight
+from maxca.gf2poly import _reverse_bits, format_poly, parse_poly, weight
 from maxca.lanes import _charpoly_lanes
-from maxca.primitivity import factorize_mersenne, is_primitive, primitive_count
+from maxca.primitivity import enumerate_primitive, factorize_mersenne, is_primitive, primitive_count
 
 
 def entry_strings(entries):
     return [(format_poly(e.polynomial), str(e.rule_vector)) for e in entries]
+
+
+def odd_weight(n):
+    # Every polynomial of degree n with odd weight and constant term 1:
+    # the targets that every diagonal passing the cascade hits.
+    return frozenset(bits for bits in range((1 << n) | 1, 1 << (n + 1), 2) if bits.bit_count() % 2)
 
 
 def scan_per_diagonal(n, targets):
@@ -179,6 +185,16 @@ class TestRuleVectorsFor:
         with pytest.raises(ValueError):
             rule_vectors_for(parse_poly("101"))
 
+    @pytest.mark.parametrize("n", range(8, 15))
+    def test_matches_per_diagonal_scan(self, n):
+        # The first, middle and last primitive polynomial of degree n;
+        # the vectors come sorted by their reversed masks.
+        primitive = enumerate_primitive(n)
+        for p in (primitive[0], primitive[len(primitive) // 2], primitive[-1]):
+            hits, _ = scan_per_diagonal(n, {p.bits})
+            hits.sort(key=lambda hit: _reverse_bits(hit[0], n))
+            assert rule_vectors_for(p) == [RuleVector.from_mask(mask, n) for mask, _ in hits]
+
 
 class TestFilterStats:
     def test_totals_sum(self):
@@ -221,12 +237,23 @@ class TestFilterStats:
 class TestCharpolyLanes:
     @pytest.mark.parametrize("n", range(8, 17))
     def test_matches_per_diagonal_scan(self, n):
-        # The primitive set, and every odd-weight polynomial of degree n
-        # with constant term 1, which every lane that passes the cascade
-        # hits, so every transposed lane is checked.
-        odd_weight = frozenset(
-            bits for bits in range((1 << n) | 1, 1 << (n + 1), 2) if bits.bit_count() % 2
-        )
-        for targets in (_primitive_set(n), odd_weight):
+        # The primitive set, and every odd-weight polynomial, which every
+        # lane that passes the cascade hits, so every lane read back and
+        # every mirror derived from one is checked. Each hit carries its
+        # mask reversed, the sort key.
+        for targets in (_primitive_set(n), odd_weight(n)):
             hits, counts = _charpoly_lanes(n, targets)
-            assert (sorted(hits), counts) == scan_per_diagonal(n, targets)
+            assert all(key == _reverse_bits(mask, n) for _, key, mask in hits)
+            assert (sorted((mask, bits) for bits, _, mask in hits), counts) == scan_per_diagonal(n, targets)
+
+    @pytest.mark.parametrize("n", (8, 9, 12, 13))
+    def test_hits_closed_under_reversal(self, n):
+        # Only one diagonal of each mirror pair is read back; the other
+        # comes out once too, and a palindrome, its own mirror, once.
+        # Palindromes pass the cascade at even n only (none of the
+        # 2^ceil(n/2) does at odd n <= 13), so even n covers their lanes.
+        hits, _ = _charpoly_lanes(n, odd_weight(n))
+        masks = [mask for _, _, mask in hits]
+        assert len(set(masks)) == len(masks)
+        assert {_reverse_bits(mask, n) for mask in masks} == set(masks)
+        assert any(_reverse_bits(mask, n) == mask for mask in masks) == (n % 2 == 0)

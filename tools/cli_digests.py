@@ -19,8 +19,9 @@ and --errata, usage errors that must exit 2 with one stderr line, then
 same stdout as without --jobs) and `enum --n 4 --jobs 0` (exit 2, one
 stderr line), then `charpoly --rules` on vectors of 7, 8, 9 and 64
 cells, `cycle --rules` at
-n = 9 and 12 (the jump path), and last `enum --n 17..20 --format tsv`
-(the larger bit-sliced scans). The later groups are appended so that
+n = 9 and 12 (the jump path), `enum --n 17..20 --format tsv` (the
+larger bit-sliced scans), and last `enum --n 17..20` in the paper
+format. The later groups are appended so that
 the lines before them still compare with the output of earlier
 versions of this script. None of them runs longer than a few seconds.
 """
@@ -86,6 +87,7 @@ def _command_list() -> list[tuple[str, ...]]:
     ]
     argvs += [("cycle", "--rules", "000001100"), ("cycle", "--rules", "110100101011")]
     argvs += [("enum", "--n", str(n), "--format", "tsv") for n in range(17, 21)]
+    argvs += [("enum", "--n", str(n)) for n in range(17, 21)]
     return argvs
 
 
