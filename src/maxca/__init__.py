@@ -19,8 +19,8 @@ __version__ = "1.0.0"
 
 # Each module comes after the ones it imports. In a fresh process a name
 # also compiles the modules before its own that it does not need:
-# `primitivity` for the `charpoly` names, `automaton` for the
-# `enumerator` names and `enumerator` for the `tables` names.
+# `primitivity` for the `charpoly` and `automaton` names, `automaton`
+# for the `enumerator` names and `enumerator` for the `tables` names.
 _MODULES = ("gf2poly", "primitivity", "charpoly", "automaton", "enumerator", "tables")
 
 

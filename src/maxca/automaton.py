@@ -12,7 +12,9 @@ cycle` and the table audit steps it only n times above n = 8: since
 p(T) = 0 for p = charpoly, T^t s is a combination of s, Ts, ...,
 T^(n-1)s given by x^t mod p, so each trial period costs O(log t)
 products mod p (jump ahead), and the period search that also finds
-the order of x, `primitivity._period`, picks the trials.
+the order of x, `primitivity._period`, picks the trials. Only the jump
+imports `primitivity`, so a command that steps (`cycle` up to n = 8,
+`stream`) never compiles it.
 
 A bitstream does not step once per bit. Every tap sequence obeys the
 recurrence of the characteristic polynomial p (Cayley-Hamilton), so
@@ -28,7 +30,6 @@ from collections.abc import Iterable, Iterator
 
 from .charpoly import RuleVector, _charpoly_bits
 from .gf2poly import _BLOCK_BITS, _first_bits, _format_lsb, _parse_lsb, _pow_x_mod, _Record, _recurrence_blocks
-from .primitivity import _period, factorize_mersenne
 
 __all__ = [
     "BRUTE_FORCE_CAP",
@@ -144,6 +145,8 @@ def _cycle_length_jump(rv: RuleVector, seed: CaState, *, force: bool = False) ->
     the order of x: 2^n - 1 first, then a multiple of every possible
     period, stripped prime by prime.
     """
+    from .primitivity import _period, factorize_mersenne
+
     _check_cycle_args(rv, seed, force)
     n, mask, lim = rv.n, rv.mask, (1 << rv.n) - 1
     f = factorize_mersenne(n)

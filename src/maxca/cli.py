@@ -22,45 +22,44 @@ import os
 import sys
 from itertools import islice
 
-# stream_bits, pack_bits and order_of_x are unused here but stay bound: the
-# benchmark's traced run (perfbench/layertrace.py) wraps them in this module.
-from .automaton import (
-    _STEP_MAX_N,
-    CaState,
-    _cycle_length_jump,
-    _stream_chunks,
-    cycle_length_from,
-    pack_bits,
-    stream_bits,
-    unit_seed,
-)
-from .charpoly import RuleVector, characteristic_polynomial
 from .gf2poly import X, _format_lsb, _pack_blocks, format_poly, parse_poly
-from .primitivity import (
-    _order_of_x,
-    enumerate_primitive,
-    factorize_mersenne,
-    is_irreducible,
-    is_primitive,
-    order_of_x,
-)
 
 __all__ = ["main"]
 
+# The module that owns each name a handler calls, plus the three names
+# (order_of_x, stream_bits, pack_bits) that only the benchmark's traced
+# run (perfbench/layertrace.py) reads and wraps here. A handler imports
+# only the owners of its own names, so each command compiles only the
+# modules it runs.
+_OWNERS = {
+    name: module
+    for module, names in (
+        ("charpoly", "RuleVector characteristic_polynomial"),
+        ("primitivity", "_order_of_x enumerate_primitive factorize_mersenne is_irreducible is_primitive order_of_x"),
+        ("automaton", "_STEP_MAX_N CaState _cycle_length_jump _stream_chunks cycle_length_from pack_bits stream_bits unit_seed"),
+        ("enumerator", "enumerate_maxlen"),
+        ("tables", "verify_all"),
+    )
+    for name in names.split()
+}
 
-# `enumerator` and `tables` are imported on first call, so only `enum` and
-# `verify-tables` compile them. The handlers call these names, which the
-# traced run wraps in this module.
-def enumerate_maxlen(n, **kwargs):
-    from .enumerator import enumerate_maxlen
 
-    return enumerate_maxlen(n, **kwargs)
+def __getattr__(name: str):
+    # Read through to the owner on every lookup, never cached here: a
+    # patch on the owner must not stay pinned in this module once undone.
+    if name not in _OWNERS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
+
+    return getattr(import_module(f"{__package__}.{_OWNERS[name]}"), name)
 
 
-def verify_all(n):
-    from .tables import verify_all
-
-    return verify_all(n)
+def _bound(*names: str) -> list:
+    # A binding in this module (a traced-run wrapper, a test's patch)
+    # wins over the owner's. globals(), not sys.modules[__name__], which
+    # is another module when runpy runs this file as __main__.
+    bound = globals()
+    return [bound[name] if name in bound else __getattr__(name) for name in names]
 
 
 class _Parser(argparse.ArgumentParser):
@@ -125,6 +124,7 @@ def _write_lines(lines) -> None:
 
 
 def _cmd_enum(args) -> int:
+    [enumerate_maxlen] = _bound("enumerate_maxlen")
     entries = enumerate_maxlen(args.n, jobs=args.jobs, force=args.force)
     if args.format == "tsv":
         print("n\tpolynomial\trule_vector")
@@ -135,11 +135,14 @@ def _cmd_enum(args) -> int:
 
 
 def _cmd_charpoly(args) -> int:
+    RuleVector, characteristic_polynomial = _bound("RuleVector", "characteristic_polynomial")
     print(format_poly(characteristic_polynomial(RuleVector(args.rules))))
     return 0
 
 
 def _cmd_primitive(args) -> int:
+    is_primitive, factorize_mersenne, is_irreducible, _order_of_x = _bound(
+        "is_primitive", "factorize_mersenne", "is_irreducible", "_order_of_x")
     p = parse_poly(args.poly)
     # Checks the degree (>= 1) before factorize_mersenne reads it.
     primitive = is_primitive(p)
@@ -161,9 +164,10 @@ def _cmd_primitive(args) -> int:
 
 
 def _cmd_cycle(args) -> int:
+    RuleVector, CaState, unit_seed, _STEP_MAX_N = _bound("RuleVector", "CaState", "unit_seed", "_STEP_MAX_N")
     rv = RuleVector(args.rules)
     seed = CaState.from_string(args.seed) if args.seed else unit_seed(rv.n)
-    measure = cycle_length_from if rv.n <= _STEP_MAX_N else _cycle_length_jump
+    [measure] = _bound("cycle_length_from" if rv.n <= _STEP_MAX_N else "_cycle_length_jump")
     t = measure(rv, seed, force=args.force)
     print("none" if t is None else t)
     return 0
@@ -181,6 +185,7 @@ def _write_stream(f, chunks, ascii_out: bool) -> None:
 
 
 def _cmd_stream(args) -> int:
+    RuleVector, CaState, unit_seed, _stream_chunks = _bound("RuleVector", "CaState", "unit_seed", "_stream_chunks")
     rv = RuleVector(args.rules)
     seed = CaState.from_string(args.seed) if args.seed else unit_seed(rv.n)
     # Validates before any output file is opened.
@@ -196,6 +201,7 @@ def _cmd_stream(args) -> int:
 
 
 def _cmd_verify_tables(args) -> int:
+    [verify_all] = _bound("verify_all")
     report = verify_all(args.n)
     # Written before any output, so a path that cannot be opened exits 2
     # with stdout empty.
@@ -212,6 +218,7 @@ def _cmd_verify_tables(args) -> int:
 
 
 def _cmd_primpoly_list(args) -> int:
+    [enumerate_primitive] = _bound("enumerate_primitive")
     _write_lines(map(format_poly, enumerate_primitive(args.n)))
     return 0
 

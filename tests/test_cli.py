@@ -2,6 +2,7 @@
 
 import fcntl
 import hashlib
+import importlib
 import os
 import subprocess
 import sys
@@ -10,6 +11,7 @@ import threading
 
 import pytest
 
+import maxca.cli as cli
 from maxca.automaton import CaState, pack_bits, stream_bits
 from maxca.charpoly import RuleVector
 from maxca.cli import main
@@ -430,3 +432,38 @@ class TestUsageErrors:
     def test_missing_required_argument(self):
         proc = run_proc("charpoly")
         assert proc.returncode == 2
+
+
+class TestNameResolution:
+    # `maxca.cli` imports a handler's names from their owners on first
+    # use; a binding in `maxca.cli` itself (the traced run's wrappers, a
+    # test's patch) wins.
+    @pytest.mark.parametrize("name", sorted(cli._OWNERS))
+    def test_name_is_the_owners_object(self, name):
+        owner = importlib.import_module(f"maxca.{cli._OWNERS[name]}")
+        assert getattr(cli, name) is getattr(owner, name)
+
+    def test_unknown_name_raises_attribute_error(self):
+        with pytest.raises(AttributeError, match=r"^module 'maxca\.cli' has no attribute 'no_such_name'$"):
+            cli.no_such_name
+        assert not hasattr(cli, "no_such_name")
+
+    def test_binding_in_cli_wins(self, capsys, monkeypatch):
+        calls = []
+        fn = cli.is_irreducible
+        monkeypatch.setattr(cli, "is_irreducible", lambda p: calls.append(p) or fn(p))
+        assert run_main(capsys, "primitive", "--poly", "11111")[0] == 0
+        assert len(calls) == 1
+
+    def test_owner_patch_is_read_through_and_not_kept(self, capsys, monkeypatch):
+        import maxca.primitivity as primitivity
+
+        # As in a fresh process: nothing bound in maxca.cli yet.
+        monkeypatch.delitem(vars(cli), "is_irreducible", raising=False)
+        calls = []
+        fn = primitivity.is_irreducible
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(primitivity, "is_irreducible", lambda p: calls.append(p) or fn(p))
+            assert run_main(capsys, "primitive", "--poly", "11111")[0] == 0
+        assert len(calls) == 1
+        assert cli.is_irreducible is primitivity.is_irreducible

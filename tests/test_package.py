@@ -32,15 +32,19 @@ except SystemExit as exc:
 {_PRINT_LOADED}
 """
 
-_QUERIES = [
-    ("charpoly", "--rules", "00000110"),
-    ("primitive", "--poly", "100011101"),
-    ("primitive", "--poly", "100011011"),
-    ("cycle", "--rules", "1101"),
-    ("cycle", "--rules", "0000011000"),
-    ("stream", "--rules", "00000110", "--bits", "16", "--ascii"),
-    ("primpoly-list", "--n", "5"),
-]
+# Each query with the submodules it loads: those its handler runs, no
+# others. `cycle` steps the automaton up to n = 8 and jumps above, which
+# takes the period search from `primitivity`.
+_QUERY_LOADS = {
+    ("charpoly", "--rules", "00000110"): "gf2poly charpoly",
+    ("primitive", "--poly", "100011101"): "gf2poly primitivity",
+    ("primitive", "--poly", "100011011"): "gf2poly primitivity",
+    ("cycle", "--rules", "1101"): "gf2poly charpoly automaton",
+    ("cycle", "--rules", "0000011000"): "gf2poly charpoly automaton primitivity",
+    ("stream", "--rules", "00000110", "--bits", "16", "--ascii"): "gf2poly charpoly automaton",
+    ("primpoly-list", "--n", "5"): "gf2poly primitivity lanes",
+}
+_QUERIES = list(_QUERY_LOADS)
 
 
 def loaded_modules(code: str, *argv: str) -> list[str]:
@@ -59,16 +63,17 @@ def maxca_modules(code: str, *argv: str) -> list[str]:
     return [m for m in loaded_modules(code, *argv) if m.split(".")[0] == "maxca"]
 
 
+def package_with(submodules: str) -> list[str]:
+    return sorted(["maxca"] + [f"maxca.{m}" for m in submodules.split()])
+
+
 class TestLoadContract:
     def test_import_loads_no_submodule(self):
         assert maxca_modules(f"import maxca; {_PRINT_LOADED}") == ["maxca"]
 
     @pytest.mark.parametrize("argv", _QUERIES)
     def test_queries_load_neither_enumerator_nor_tables(self, argv):
-        loaded = maxca_modules(_RUN_CLI, *argv)
-        assert "maxca.automaton" in loaded
-        assert "maxca.enumerator" not in loaded
-        assert "maxca.tables" not in loaded
+        assert maxca_modules(_RUN_CLI, *argv) == package_with(_QUERY_LOADS[argv])
 
     @pytest.mark.parametrize("argv", _QUERIES)
     def test_only_a_listing_loads_lanes(self, argv):
@@ -78,13 +83,11 @@ class TestLoadContract:
 
     def test_enum_does_not_load_tables(self):
         loaded = maxca_modules(_RUN_CLI, "enum", "--n", "4")
-        assert "maxca.enumerator" in loaded
-        assert "maxca.tables" not in loaded
+        assert loaded == package_with("gf2poly primitivity lanes charpoly enumerator")
 
     def test_verify_tables_does_not_load_enumerator(self):
         loaded = maxca_modules(_RUN_CLI, "verify-tables", "--n", "4")
-        assert "maxca.tables" in loaded
-        assert "maxca.enumerator" not in loaded
+        assert loaded == package_with("gf2poly primitivity charpoly automaton tables")
 
     @pytest.mark.parametrize(
         "name, count",
