@@ -38,8 +38,11 @@ def __getattr__(name: str):
         value = _module(name)
     else:
         # Loaded modules first (the import system binds each in the
-        # package), then the rest in order; the sort is stable.
-        for m in sorted(_MODULES, key=lambda m: m not in globals()):
+        # package), then the rest in order; the sort is stable. `cli`
+        # and `lanes` are in no __all__: the package has no such name,
+        # so `from maxca import cli` loads just that submodule.
+        searched = () if name in ("cli", "lanes") else sorted(_MODULES, key=lambda m: m not in globals())
+        for m in searched:
             module = _module(m)
             if name in module.__all__:
                 value = getattr(module, name)

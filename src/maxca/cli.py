@@ -10,17 +10,18 @@ One executable, seven subcommands:
     verify-tables  re-verify the bundled reference table
     primpoly-list  all primitive polynomials of one degree
 
-Results go to stdout, diagnostics to stderr. Exit codes: 0 success,
-1 verification failure (verify-tables --strict), 2 usage error, 141
-output pipe closed by the reader (128 + SIGPIPE, as a shell reports).
+Results go to stdout, diagnostics to stderr. Exit codes: 0 success
+(-h/--help too), 1 verification failure (verify-tables --strict), 2
+usage error, 141 output pipe closed by the reader (128 + SIGPIPE, as a
+shell reports).
 """
 
 from __future__ import annotations
 
-import argparse
 import os
 import sys
 from itertools import islice
+from types import SimpleNamespace
 
 from .gf2poly import X, _format_lsb, _pack_blocks, format_poly, parse_poly
 
@@ -60,59 +61,6 @@ def _bound(*names: str) -> list:
     # is another module when runpy runs this file as __main__.
     bound = globals()
     return [bound[name] if name in bound else __getattr__(name) for name in names]
-
-
-class _Parser(argparse.ArgumentParser):
-    # One-line diagnostics on stderr, exit 2, no usage dump.
-    def error(self, message):
-        self.exit(2, f"{self.prog}: error: {message}\n")
-
-
-def _build_parser() -> _Parser:
-    parser = _Parser(prog="maxca", description=__doc__.splitlines()[0])
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("enum", help="list all n-cell maximum-length rule vectors")
-    p.add_argument("--n", type=int, required=True, help="cell count")
-    p.add_argument("--format", choices=["paper", "tsv"], default="paper",
-                   help="two-column table or TSV with header")
-    p.add_argument("--jobs", type=int, default=1,
-                   help="accepted for compatibility (>= 1, default 1); "
-                        "the scan runs in one process")
-    p.add_argument("--force", action="store_true",
-                   help="allow n beyond the exhaustive-mode cap")
-
-    p = sub.add_parser("charpoly", help="characteristic polynomial of a rule vector")
-    p.add_argument("--rules", required=True, help="rule vector, e.g. 00000110")
-
-    p = sub.add_parser("primitive", help="test a polynomial for primitivity")
-    p.add_argument("--poly", required=True, help="MSB-first binary polynomial")
-
-    p = sub.add_parser("cycle", help="cycle length from a seed state")
-    p.add_argument("--rules", required=True)
-    p.add_argument("--seed", help="seed state (default: unit seed, cell 0 set)")
-    p.add_argument("--force", action="store_true",
-                   help="allow n beyond the brute-force cap")
-
-    p = sub.add_parser("stream", help="emit a pseudorandom bitstream")
-    p.add_argument("--rules", required=True)
-    p.add_argument("--bits", type=int, required=True, help="number of bits")
-    p.add_argument("--tap", type=int, default=0, help="cell to read (default 0)")
-    p.add_argument("--seed", help="seed state (default: unit seed)")
-    p.add_argument("--ascii", action="store_true",
-                   help="one '0'/'1' line per bit instead of packed bytes")
-    p.add_argument("--out", help="output file (default: stdout)")
-
-    p = sub.add_parser("verify-tables", help="re-verify the bundled reference table")
-    p.add_argument("--n", type=int, help="restrict to one cell count")
-    p.add_argument("--strict", action="store_true",
-                   help="exit 1 if any row fails")
-    p.add_argument("--errata", help="write failing rows to this file")
-
-    p = sub.add_parser("primpoly-list", help="all primitive polynomials of degree n")
-    p.add_argument("--n", type=int, required=True)
-
-    return parser
 
 
 def _write_lines(lines) -> None:
@@ -223,22 +171,186 @@ def _cmd_primpoly_list(args) -> int:
     return 0
 
 
-_DISPATCH = {
-    "enum": _cmd_enum,
-    "charpoly": _cmd_charpoly,
-    "primitive": _cmd_primitive,
-    "cycle": _cmd_cycle,
-    "stream": _cmd_stream,
-    "verify-tables": _cmd_verify_tables,
-    "primpoly-list": _cmd_primpoly_list,
+_REQUIRED = object()
+
+# Each command: its handler, its help line and its options. An option
+# maps to (kind, default or _REQUIRED, help); a kind is int, str, the
+# tuple of allowed words, or bool for a flag (default False).
+_COMMANDS = {
+    "enum": (_cmd_enum, "list all n-cell maximum-length rule vectors", {
+        "--n": (int, _REQUIRED, "cell count"),
+        "--format": (("paper", "tsv"), "paper", "two-column table or TSV with header"),
+        "--jobs": (int, 1, "accepted for compatibility (>= 1, default 1); the scan runs in one process"),
+        "--force": (bool, False, "allow n beyond the exhaustive-mode cap"),
+    }),
+    "charpoly": (_cmd_charpoly, "characteristic polynomial of a rule vector", {
+        "--rules": (str, _REQUIRED, "rule vector, e.g. 00000110"),
+    }),
+    "primitive": (_cmd_primitive, "test a polynomial for primitivity", {
+        "--poly": (str, _REQUIRED, "MSB-first binary polynomial"),
+    }),
+    "cycle": (_cmd_cycle, "cycle length from a seed state", {
+        "--rules": (str, _REQUIRED, "rule vector"),
+        "--seed": (str, None, "seed state (default: unit seed, cell 0 set)"),
+        "--force": (bool, False, "allow n beyond the brute-force cap"),
+    }),
+    "stream": (_cmd_stream, "emit a pseudorandom bitstream", {
+        "--rules": (str, _REQUIRED, "rule vector"),
+        "--bits": (int, _REQUIRED, "number of bits"),
+        "--tap": (int, 0, "cell to read (default 0)"),
+        "--seed": (str, None, "seed state (default: unit seed)"),
+        "--ascii": (bool, False, "one '0'/'1' line per bit instead of packed bytes"),
+        "--out": (str, None, "output file (default: stdout)"),
+    }),
+    "verify-tables": (_cmd_verify_tables, "re-verify the bundled reference table", {
+        "--n": (int, None, "restrict to one cell count"),
+        "--strict": (bool, False, "exit 1 if any row fails"),
+        "--errata": (str, None, "write failing rows to this file"),
+    }),
+    "primpoly-list": (_cmd_primpoly_list, "all primitive polynomials of degree n", {
+        "--n": (int, _REQUIRED, "polynomial degree"),
+    }),
 }
+
+_HELP = ("-h", "--help")
+
+
+class _Exit(Exception):
+    """Ends the parse with (exit code, text): help on stdout with 0, or a
+    usage error on stderr with 2."""
+
+
+def _error(prog: str, message: str) -> _Exit:
+    return _Exit(2, f"{prog}: error: {message}\n")
+
+
+def _option(prog: str, token: str, names) -> tuple | None:
+    # How argparse reads one token against a parser's option names: None
+    # for a value, else (the option or None if unknown, the text after
+    # '=' or glued to -h, or None). A prefix of two names is an error.
+    if token[:1] != "-" or token == "-":
+        return None
+    if token in names:
+        return token, None
+    name, eq, value = token.partition("=")
+    if eq and name in names:
+        return name, value
+    if token[1] == "-":
+        matches = [(n, value if eq else None) for n in names if n.startswith(name)]
+    else:
+        matches = [("-h", token[2:])] if token[:2] == "-h" else []
+    if len(matches) > 1:
+        raise _error(prog, f"ambiguous option: {token} could match {', '.join(n for n, _ in matches)}")
+    if matches:
+        return matches[0]
+    # A negative number (argparse's -\d+$ or -\d*\.\d+$) or a token with
+    # a space is a value.
+    whole, dot, frac = token[1:].removesuffix("\n").partition(".")
+    if ((frac if dot else whole).isdecimal() and (not whole or whole.isdecimal())) or " " in token:
+        return None
+    return None, None
+
+
+def _help(prog: str, name: str, value: str | None, command: str | None = None):
+    if name == "-h" and value:
+        # -hh reads as -h -h.
+        value = value.lstrip("h") or None
+    if value is not None:
+        raise _error(prog, f"argument -h/--help: ignored explicit argument {value!r}")
+    raise _Exit(0, _help_text(command))
+
+
+def _help_text(command: str | None) -> str:
+    if command is None:
+        usage, heading = "maxca [-h] <command> [options]", "commands:"
+        line = "Run `maxca <command> -h` for its options."
+        rows = [(name, text) for name, (_, text, _) in _COMMANDS.items()]
+    else:
+        _, line, options = _COMMANDS[command]
+        usage, heading = f"maxca {command} [-h]", "options:"
+        rows = [("-h, --help", "show this help and exit")]
+        for name, (kind, default, text) in options.items():
+            if kind is not bool:
+                name += " {" + ",".join(kind) + "}" if isinstance(kind, tuple) else " " + name[2:].upper()
+            usage += f" {name}" if default is _REQUIRED else f" [{name}]"
+            rows.append((name, text))
+    width = max(len(left) for left, _ in rows) + 2
+    rows = [f"  {left:<{width}}{text}" for left, text in rows]
+    return "\n".join([f"usage: {usage}", "", line, "", heading, *rows, ""])
+
+
+def _parse(argv) -> SimpleNamespace:
+    """The handlers' arguments from argv, read as argparse read them:
+    options before the command, then the command's options as --opt
+    value, --opt=value or a unique prefix, the last one given winning.
+    Raises _Exit for help or a usage error, with argparse's wording."""
+    extras, command = [], None
+    for i, token in enumerate(argv):
+        option = None if token == "--" else _option("maxca", token, _HELP)
+        if option is None:
+            command, argv = token, argv[i + 1:]
+            break
+        if option[0]:
+            _help("maxca", *option)
+        extras.append(token)
+    # A '--' is the command only if some token follows it.
+    if command is None or (command == "--" and not argv):
+        raise _error("maxca", "the following arguments are required: command")
+    if command not in _COMMANDS:
+        choices = ", ".join(map(repr, _COMMANDS))
+        raise _error("maxca", f"argument command: invalid choice: {command!r} (choose from {choices})")
+    prog = f"maxca {command}"
+    options = _COMMANDS[command][2]
+    # Every token up to a '--' is read before any is taken, so an
+    # ambiguous prefix is the first error wherever it stands.
+    head = argv[:argv.index("--")] if "--" in argv else argv
+    read = [_option(prog, token, (*_HELP, *options)) for token in head]
+    values = {name: default for name, (_, default, _) in options.items()}
+    j = 0
+    while j < len(argv):
+        name, value = read[j] if j < len(read) and read[j] else (None, None)
+        j += 1
+        if name is None:
+            extras.append(argv[j - 1])
+            continue
+        if name in _HELP:
+            _help(prog, name, value, command)
+        kind = options[name][0]
+        if kind is bool:
+            if value is not None:
+                raise _error(prog, f"argument {name}: ignored explicit argument {value!r}")
+            value = True
+        elif value is None:
+            if j == len(read) or read[j]:
+                raise _error(prog, f"argument {name}: expected one argument")
+            value = argv[j]
+            j += 1
+        if kind is int:
+            try:
+                value = int(value)
+            except ValueError:
+                raise _error(prog, f"argument {name}: invalid int value: {value!r}") from None
+        elif isinstance(kind, tuple) and value not in kind:
+            choices = ", ".join(map(repr, kind))
+            raise _error(prog, f"argument {name}: invalid choice: {value!r} (choose from {choices})")
+        values[name] = value
+    missing = [name for name, value in values.items() if value is _REQUIRED]
+    if missing:
+        raise _error(prog, f"the following arguments are required: {', '.join(missing)}")
+    if extras:
+        raise _error("maxca", f"unrecognized arguments: {' '.join(extras)}")
+    return SimpleNamespace(command=command, **{name[2:]: value for name, value in values.items()})
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
     try:
-        return _DISPATCH[args.command](args)
+        args = _parse(sys.argv[1:] if argv is None else argv)
+    except _Exit as exc:
+        code, text = exc.args
+        (sys.stderr if code else sys.stdout).write(text)
+        return code
+    try:
+        return _COMMANDS[args.command][0](args)
     except BrokenPipeError:
         # Downstream closed the pipe (e.g. `| head`); suppress the noise
         # and exit as a shell reports a process killed by SIGPIPE.

@@ -434,6 +434,60 @@ class TestUsageErrors:
         assert proc.returncode == 2
 
 
+_COMMAND_CHOICES = "'enum', 'charpoly', 'primitive', 'cycle', 'stream', 'verify-tables', 'primpoly-list'"
+
+
+class TestArgumentParsing:
+    # Each usage error with the exact line that argparse printed for it.
+    @pytest.mark.parametrize("argv, line", [
+        ((), "maxca: error: the following arguments are required: command"),
+        (("frobnicate",), f"maxca: error: argument command: invalid choice: 'frobnicate' (choose from {_COMMAND_CHOICES})"),
+        (("enum",), "maxca enum: error: the following arguments are required: --n"),
+        (("enum", "--n"), "maxca enum: error: argument --n: expected one argument"),
+        (("cycle", "--rules", "1101", "--seed"), "maxca cycle: error: argument --seed: expected one argument"),
+        (("enum", "--n", "x"), "maxca enum: error: argument --n: invalid int value: 'x'"),
+        (("enum", "--n", "4", "--format", "csv"),
+         "maxca enum: error: argument --format: invalid choice: 'csv' (choose from 'paper', 'tsv')"),
+        (("enum", "--n", "4", "--f", "tsv"), "maxca enum: error: ambiguous option: --f could match --format, --force"),
+        (("stream", "--rules", "10", "--bits", "8", "--ascii=1"),
+         "maxca stream: error: argument --ascii: ignored explicit argument '1'"),
+        (("enum", "--n", "4", "--bogus"), "maxca: error: unrecognized arguments: --bogus"),
+        (("enum", "--n", "4", "extra"), "maxca: error: unrecognized arguments: extra"),
+        (("--bogus", "enum", "--n", "4"), "maxca: error: unrecognized arguments: --bogus"),
+        # A negative number is a value, not an option.
+        (("enum", "--n", "-1"), "maxca enum: error: need at least 2 cells, got -1"),
+    ])
+    def test_usage_error_line(self, capsys, argv, line):
+        assert run_main(capsys, *argv) == (2, "", line + "\n")
+
+    @pytest.mark.parametrize("argv, canonical", [
+        (("charpoly", "--rules=0110"), ("charpoly", "--rules", "0110")),
+        (("enum", "--n", "4", "--form", "tsv"), ("enum", "--n", "4", "--format", "tsv")),
+        (("enum", "--n=3", "--n", "4"), ("enum", "--n", "4")),
+    ])
+    def test_spelling_prints_what_the_canonical_one_does(self, capsys, argv, canonical):
+        expected = run_main(capsys, *canonical)
+        assert expected[0] == 0 and expected[1]
+        assert run_main(capsys, *argv) == expected
+
+    @pytest.mark.parametrize("argv", [("-h",), ("--help",), ("enum", "--help")])
+    def test_help_exits_0(self, capsys, argv):
+        code, out, err = run_main(capsys, *argv)
+        assert (code, err) == (0, "")
+        assert out.startswith("usage: maxca")
+
+    def test_top_help_names_every_command(self, capsys):
+        out = run_main(capsys, "--help")[1]
+        for command, (_, text, _) in cli._COMMANDS.items():
+            assert f"  {command}" in out and text in out
+
+    @pytest.mark.parametrize("command", sorted(cli._COMMANDS))
+    def test_command_help_names_each_option(self, capsys, command):
+        out = run_main(capsys, command, "-h")[1]
+        for name, (_, _, text) in cli._COMMANDS[command][2].items():
+            assert f"  {name}" in out and text in out
+
+
 class TestNameResolution:
     # `maxca.cli` imports a handler's names from their owners on first
     # use; a binding in `maxca.cli` itself (the traced run's wrappers, a

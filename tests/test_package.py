@@ -15,9 +15,10 @@ _SRC = os.path.dirname(os.path.dirname(maxca.__file__))
 
 # Stdlib modules that maxca keeps off its start-up path: `dataclasses`,
 # `inspect` and `typing` are slow to import, `importlib.resources` is
-# needed only to read the table and `concurrent.futures` never (the scan
-# runs in one process).
-_HEAVY = ("dataclasses", "inspect", "typing", "importlib.resources", "concurrent.futures")
+# needed only to read the table, `concurrent.futures` never (the scan
+# runs in one process), and `argparse`, with the `gettext` and `locale`
+# it brings, never (`cli` reads argv against its own table).
+_HEAVY = ("dataclasses", "inspect", "typing", "importlib.resources", "concurrent.futures", "argparse", "gettext", "locale")
 
 _PRINT_LOADED = "import sys; print(sorted(sys.modules))"
 
@@ -102,6 +103,13 @@ class TestLoadContract:
     def test_name_in_a_loaded_module_imports_no_other(self):
         loaded = maxca_modules(f"import maxca.tables; maxca.verify_all; {_PRINT_LOADED}")
         assert "maxca.enumerator" not in loaded
+
+    @pytest.mark.parametrize("name, submodules", [("cli", "cli gf2poly"), ("lanes", "lanes gf2poly")])
+    def test_from_import_of_a_submodule_loads_only_it(self, name, submodules):
+        # The package holds no such name, so the import system loads just
+        # that submodule and what it imports.
+        loaded = maxca_modules(f"from maxca import {name}; {_PRINT_LOADED}")
+        assert loaded == package_with(submodules)
 
     def test_version_needs_no_submodule(self):
         assert maxca_modules(f"import maxca; maxca.__version__; {_PRINT_LOADED}") == ["maxca"]

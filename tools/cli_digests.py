@@ -18,12 +18,16 @@ and --errata, usage errors that must exit 2 with one stderr line, then
 `primpoly-list --n 17..20`, `enum --n 12 --jobs 4` in both formats (the
 same stdout as without --jobs) and `enum --n 4 --jobs 0` (exit 2, one
 stderr line), then `charpoly --rules` on vectors of 7, 8, 9 and 64
-cells, `cycle --rules` at
-n = 9 and 12 (the jump path), `enum --n 17..20 --format tsv` (the
-larger bit-sliced scans), and last `enum --n 17..20` in the paper
-format. The later groups are appended so that
-the lines before them still compare with the output of earlier
-versions of this script. None of them runs longer than a few seconds.
+cells, `cycle --rules` at n = 9 and 12 (the jump path), `enum --n
+17..20 --format tsv` (the larger bit-sliced scans), `enum --n 17..20`
+in the paper format, and last the reading of argv: one argv per kind
+of usage error (no or an unknown command, a missing option or value, a
+bad int or choice, an ambiguous prefix, a value given to a flag, an
+unknown option, a stray value) and three spellings that print what the
+canonical one does (`--rules=0110`, the prefix `--form`, a repeated
+`--n`). The later groups are appended so that the lines before them
+still compare with the output of earlier versions of this script. None
+of them runs longer than a few seconds.
 """
 
 from __future__ import annotations
@@ -53,6 +57,26 @@ USAGE_ERRORS = [
     ("primpoly-list", "--n", "33"),
     ("verify-tables", "--n", "13"),
     ("verify-tables", "--n", "2", "--errata", "missing/errata.txt"),
+]
+
+
+# The argument reading: usage errors (exit 2, one stderr line), then
+# spellings accepted as their canonical forms.
+PARSE_CASES = [
+    (),
+    ("frobnicate",),
+    ("enum",),
+    ("enum", "--n"),
+    ("cycle", "--rules", "1101", "--seed"),
+    ("enum", "--n", "x"),
+    ("enum", "--n", "4", "--format", "csv"),
+    ("enum", "--n", "4", "--f", "tsv"),
+    ("stream", "--rules", "10", "--bits", "8", "--ascii=1"),
+    ("enum", "--n", "4", "--bogus"),
+    ("enum", "--n", "4", "extra"),
+    ("charpoly", "--rules=0110"),
+    ("enum", "--n", "4", "--form", "tsv"),
+    ("enum", "--n=3", "--n", "4"),
 ]
 
 
@@ -88,6 +112,7 @@ def _command_list() -> list[tuple[str, ...]]:
     argvs += [("cycle", "--rules", "000001100"), ("cycle", "--rules", "110100101011")]
     argvs += [("enum", "--n", str(n), "--format", "tsv") for n in range(17, 21)]
     argvs += [("enum", "--n", str(n)) for n in range(17, 21)]
+    argvs += PARSE_CASES
     return argvs
 
 
