@@ -14,11 +14,13 @@ polynomial. `_berlekamp_massey`, one sequence at a time, is its test
 oracle.
 
 The module also holds the scan of `enumerator._scan` for 8 or more
-cells, `_charpoly_lanes`: the charpoly recurrence over 256 diagonals at
-once, one lane per setting of cells 0..7. A diagonal and its mirror
-image have one polynomial, so it reads back only the diagonal of each
-mirror pair whose mask is at most its reversal, and each hit gives its
-mirror too.
+cells, `_charpoly_lanes`: one depth-first walk over the n cells that
+runs the charpoly recurrence over 256 diagonals at once, one lane per
+setting of cells 0..7, with one step for every cell. A diagonal and its
+mirror image have one polynomial, so the walk compares each mirror pair
+of cells as it sets the pair's outer cell, reads back only the diagonal
+of each mirror pair whose mask is at most its reversal, and each hit
+gives its mirror too.
 Both kernels read their lanes back into ints through one transpose,
 `_lane_ints`. Of the `maxca` commands, only `enum` and `primpoly-list`
 import this module, so the others (every stream and audit query) do
@@ -153,53 +155,48 @@ def _charpoly_lanes(n: int, targets: frozenset[int]) -> tuple[list[tuple[int, in
     # bits, reversed diagonal mask, diagonal mask), and the counts (even
     # weight, zero constant, not in targets) of the rest. Lane l holds
     # the diagonals whose cells 0..7 are set as l, and coefficient j of
-    # p_k over every lane is one word. Cells 0..7 run with one flag word
-    # each; cells 8..n-1 are walked depth first with one scalar flag per
-    # level, so diagonals that share their high cells share those steps,
-    # and each leaf finishes 256 of them.
+    # p_k over every lane is one word. The cells are walked depth first:
+    # a lane cell has one child, flagged by its word, and a cell from 8
+    # on has two, flagged 0 and full, so diagonals that share their high
+    # cells share those steps, and each leaf finishes 256 of them.
     lanes = 1 << _LANE_CELLS
     full = (1 << lanes) - 1
     # Bit l of cell k's flag word is bit k of l.
     cells = [sum(1 << lane for lane in range(lanes) if lane >> k & 1) for k in range(_LANE_CELLS)]
-    # p_k = (x + d_{k-1}) p_{k-1} + p_{k-2} from p_{-1} = 0, p_0 = 1.
-    prev, cur = [], [full]
-    for flags in cells:
-        prev, cur = cur, [a ^ b ^ (flags & c) for a, b, c in zip([0, *cur], prev + [0, 0], cur + [0])]
-    # A diagonal and its mirror image have one polynomial, since reversal
-    # conjugates T, so only the lanes whose mask is at most its reversal
-    # are read back, and each hit gives its mirror too. The masks are
-    # compared pair by pair, cell i against cell n-1-i, from the middle
-    # out, so the outer pair decides: where cell n-1-i is set the mask
-    # stays at most its reversal only if cell i is set and it was so
-    # already; where it is clear, if cell i is set or it was so already.
-    # The pairs of two lane cells (n <= 14) are the same at every leaf.
-    canonical = full
-    for i in reversed(range(n - _LANE_CELLS, n // 2)):
-        outer = cells[n - 1 - i]
-        canonical = outer & cells[i] & canonical | ~outer & (cells[i] | canonical)
     even_weight = zero_constant = live_count = 0
     hits = []
-    stack = [(_LANE_CELLS, 0, prev, cur)]  # (k, flags of cells 8..k-1, p_{k-1}, p_k)
+    # (k, flags of cells 8..k-1, keep, p_{k-1}, p_k) from p_{-1} = 0,
+    # p_0 = 1, where keep holds the lanes whose mask is at most its
+    # reversal on the pairs of cells compared so far.
+    stack = [(0, 0, full, [], [full])]
     while stack:
-        k, high, prev, cur = stack.pop()
+        k, high, keep, prev, cur = stack.pop()
         if k < n:
             # p_{k+1} = x p_k + p_{k-1}, plus p_k where cell k is rule 150.
-            step = list(map(xor, [0, *cur], prev + [0, 0]))
-            stack.append((k + 1, high, cur, step))
-            stack.append((k + 1, high | 1 << k, cur, list(map(xor, step, cur + [0]))))
+            base = list(map(xor, [0, *cur], prev + [0, 0]))
+            # A diagonal and its mirror image have one polynomial, since
+            # reversal conjugates T, so only the lanes whose mask is at
+            # most its reversal are read back. Setting an outer cell k
+            # (i < k) compares it with cell i = n-1-k; the walk meets the
+            # pairs from the middle out, so the outer pair decides: where
+            # cell k is set the mask stays at most its reversal only if
+            # cell i is set and it was so already; where it is clear, if
+            # cell i is set or it was so already.
+            i = n - 1 - k
+            inner = cells[i] if i < _LANE_CELLS else full * (high >> i & 1)
+            for flags in (cells[k],) if k < _LANE_CELLS else (0, full):
+                step = [b ^ flags & c for b, c in zip(base, cur + [0])] if flags else base
+                fold = flags & inner & keep | ~flags & (inner | keep) if i < k else keep
+                stack.append((k + 1, high | (flags == full) << k, fold, cur, step))
             continue
         # A polynomial of even weight has the factor x + 1; one with a
-        # zero constant term has the factor x. Only the rest are read.
+        # zero constant term has the factor x. Only the rest are read,
+        # and each hit gives its mirror too.
         odd = reduce(xor, cur)
         live = odd & cur[0]
         even_weight += lanes - odd.bit_count()
         zero_constant += (odd & ~cur[0]).bit_count()
         live_count += live.bit_count()
-        # The pairs whose outer cell is one of this leaf's scalar flags.
-        keep = canonical
-        for i in reversed(range(min(n // 2, n - _LANE_CELLS))):
-            cell = cells[i] if i < _LANE_CELLS else full * (high >> i & 1)
-            keep = keep & cell if high >> (n - 1 - i) & 1 else keep | cell
         for lane, bits in _lane_ints(cur[::-1], lanes, live & keep):
             if bits in targets:
                 mask = high | lane

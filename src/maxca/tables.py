@@ -12,6 +12,8 @@ diagnostics and never silently dropped or edited.
 
 from __future__ import annotations
 
+import os
+
 from .automaton import _STEP_MAX_N, _cycle_length_jump, cycle_length_from, unit_seed
 from .charpoly import RuleVector, characteristic_polynomial
 from .gf2poly import _Record, format_poly, parse_poly
@@ -117,11 +119,8 @@ def _parse_line(line: str, lineno: int) -> TableRow | None:
 
 def load_rows(n: int | None = None) -> list[TableRow]:
     """The embedded rows, in print order, optionally filtered to one n."""
-    # Imported here, not at the top: only this function reads the data,
-    # so the rest of `tables` works without loading `importlib.resources`.
-    from importlib import resources
-
-    text = resources.files(__package__).joinpath(_DATA).read_text()
+    with open(os.path.join(os.path.dirname(__file__), _DATA), encoding="utf-8") as f:
+        text = f.read()
     rows = []
     for lineno, line in enumerate(text.splitlines(), start=1):
         row = _parse_line(line, lineno)
@@ -153,10 +152,10 @@ def verify_row(row: TableRow) -> RowVerdict:
 def verify_all(n: int | None = None) -> VerificationReport:
     """Verify every embedded row (or just those for one n). A cell count
     the table has no row for is a ValueError, not an empty report."""
-    rows = load_rows(n)
+    table = load_rows()
+    rows = [r for r in table if n is None or r.n == n]
     if not rows:
-        ns = sorted({r.n for r in load_rows()})
-        raise ValueError(f"no table rows for n = {n}; the table covers n = {ns[0]}..{ns[-1]}")
+        raise ValueError(f"no table rows for n = {n}; the table covers n = {min(r.n for r in table)}..{max(r.n for r in table)}")
     verdicts = [verify_row(r) for r in rows]
     failures = tuple(v for v in verdicts if not v.passed)
     return VerificationReport(len(verdicts), len(verdicts) - len(failures), failures)

@@ -235,12 +235,14 @@ class TestFilterStats:
 
 
 class TestCharpolyLanes:
-    @pytest.mark.parametrize("n", range(8, 17))
+    @pytest.mark.parametrize("n", range(8, 19))
     def test_matches_per_diagonal_scan(self, n):
         # The primitive set, and every odd-weight polynomial, which every
         # lane that passes the cascade hits, so every lane read back and
         # every mirror derived from one is checked. Each hit carries its
-        # mask reversed, the sort key.
+        # mask reversed, the sort key. At n = 17 the middle cell, 8, is
+        # a walked cell with no pair, and at n = 18 two walked cells (8
+        # and 9) first make a pair.
         for targets in (_primitive_set(n), odd_weight(n)):
             hits, counts = _charpoly_lanes(n, targets)
             assert all(key == _reverse_bits(mask, n) for _, key, mask in hits)
@@ -253,6 +255,13 @@ class TestCharpolyLanes:
         # Palindromes pass the cascade at even n only (none of the
         # 2^ceil(n/2) does at odd n <= 13), so even n covers their lanes.
         hits, _ = _charpoly_lanes(n, odd_weight(n))
+        # The diagonal read back is the one whose mask is at most its
+        # reversal, and its mirror, if another, is the next hit.
+        entries = iter(hits)
+        for _, key, mask in entries:
+            assert mask <= key
+            if key != mask:
+                assert next(entries)[2] == key
         masks = [mask for _, _, mask in hits]
         assert len(set(masks)) == len(masks)
         assert {_reverse_bits(mask, n) for mask in masks} == set(masks)
