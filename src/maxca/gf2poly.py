@@ -211,23 +211,28 @@ def mod_reduce(a: Gf2Poly, m: Gf2Poly) -> Gf2Poly:
 
 
 def _pow_x_mod(e: int, m: int) -> int:
-    # x^e mod m by square-and-multiply on raw bit vectors.
-    result = 1
-    base = _mod(2, m)
-    while e:
-        if e & 1:
-            result = _mod(_mul(result, base), m)
-        e >>= 1
-        if e:
-            base = _mod(_mul(base, base), m)
-    return result
+    # x^e mod m, left to right over the bits of e: square, then times x
+    # where the bit is 1. Over GF(2) squaring is linear and moves bit i
+    # to bit 2i, so the square of r is its binary digits read as base-4
+    # digits, one C-level call before the reduction. Times x is a shift
+    # and at most one XOR with m, as r has degree < deg m.
+    top = 1 << (m.bit_length() - 1)
+    r = 1
+    for bit in format(e, "b"):
+        r = _mod(int(format(r, "b"), 4), m)
+        if bit == "1":
+            r <<= 1
+            if r & top:
+                r ^= m
+    return r
 
 
 def pow_x_mod(e: int, m: Gf2Poly) -> Gf2Poly:
     """x^e mod m for e >= 0.
 
-    Square-and-multiply, O(log e) reductions; the workhorse behind the
-    primitivity test, where e runs up to 2^n - 1.
+    Left to right over the bits of e, O(log e) squarings and reductions,
+    each square a spread of the bits of the residue; the workhorse
+    behind the primitivity test, where e runs up to 2^n - 1.
     """
     if e < 0:
         raise ValueError("exponent must be non-negative")

@@ -1,12 +1,17 @@
 """GF(2) polynomial arithmetic: frozen examples and algebraic laws."""
 
+import random
+
 import pytest
 from hypothesis import given, strategies as st
 
 from maxca.gf2poly import (
     _BLOCK_BITS,
     _first_bits,
+    _mod,
+    _mul,
     _parse_lsb,
+    _pow_x_mod,
     _recurrence_blocks,
     _reverse_bits,
     MAX_DEGREE,
@@ -137,6 +142,54 @@ class TestPowXMod:
         combined = pow_x_mod(e1 + e2, m)
         split = mod_reduce(mul(pow_x_mod(e1, m), pow_x_mod(e2, m)), m)
         assert combined == split
+
+
+def _square_and_multiply(e: int, m: int) -> int:
+    # The oracle: right-to-left square-and-multiply with the general
+    # carry-less product, no squaring spread and no times-x step.
+    result = 1
+    base = _mod(2, m)
+    while e:
+        if e & 1:
+            result = _mod(_mul(result, base), m)
+        e >>= 1
+        if e:
+            base = _mod(_mul(base, base), m)
+    return result
+
+
+def _oracle_moduli():
+    # m = x and m = x + 1, then two seeded moduli of each degree 1..70,
+    # one with a zero and one with a nonzero constant term.
+    rng = random.Random(15)
+    moduli = [0b10, 0b11]
+    for d in range(1, 71):
+        for low in (0, 1):
+            moduli.append(1 << d | rng.getrandbits(d) & ~1 | low)
+    return moduli
+
+
+class TestPowXModOracle:
+    moduli = _oracle_moduli()
+
+    def test_exponents_0_to_300(self):
+        for m in self.moduli:
+            for e in range(301):
+                assert _pow_x_mod(e, m) == _square_and_multiply(e, m), (e, m)
+
+    def test_seeded_random_exponents_below_2_70(self):
+        rng = random.Random(70)
+        for m in self.moduli:
+            for _ in range(4):
+                e = rng.getrandbits(rng.randint(1, 70))
+                assert _pow_x_mod(e, m) == _square_and_multiply(e, m), (e, m)
+
+    def test_powers_of_two(self):
+        # x^(2^k) mod m for k = 0..deg m + 1 and 70: is_irreducible asks
+        # for k = deg m and its divisors.
+        for m in self.moduli:
+            for k in (*range(m.bit_length() + 1), 70):
+                assert _pow_x_mod(1 << k, m) == _square_and_multiply(1 << k, m), (k, m)
 
 
 class TestTextFormat:

@@ -7,6 +7,8 @@ genuinely primitive, but the rows mismatch). Verification must surface
 exactly that, with diagnostics, and pass everything else.
 """
 
+import hashlib
+
 import pytest
 
 from maxca import tables
@@ -148,6 +150,35 @@ class TestVerifyAll:
         assert report.passed == 473
         assert len(report.failures) == 6
         assert report.passed + len(report.failures) == report.total
+
+    def test_every_verdict_is_pinned(self):
+        # Each row's computed polynomial, match, primitivity and cycle
+        # length, one line per row in print order, hashed: the order
+        # tests behind the last two run through gf2poly's power kernel.
+        verdicts = [verify_row(r) for r in load_rows()]
+        text = "".join(
+            f"{v.row.n} {v.row.poly_str} {v.row.rv_str} {v.computed_poly} "
+            f"{v.charpoly_match} {v.poly_primitive} {v.cycle_length}\n"
+            for v in verdicts
+        )
+        assert len(verdicts) == 479
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "e3fb68796a251527059e985e48920897aa708b3b9a024f12465a228f194db850"
+        )
+        assert verify_all().failures == tuple(v for v in verdicts if not v.passed)
+
+    def test_full_errata_text(self, tmp_path):
+        path = tmp_path / "errata.txt"
+        verify_all().write_errata(path)
+        assert path.read_text() == (
+            "# Rows that failed re-verification; reason appended.\n"
+            "5 100101 11100 charpoly(rv)=111011 != printed poly\n"
+            "5 101001 10000 charpoly(rv)=110111 != printed poly\n"
+            "5 101111 01100 charpoly(rv)=101001 != printed poly\n"
+            "5 110111 10011 charpoly(rv)=111101 != printed poly\n"
+            "5 111011 11000 charpoly(rv)=101111 != printed poly\n"
+            "5 111101 11110 charpoly(rv)=100101 != printed poly\n"
+        )
 
     def test_errata_lines_format(self):
         report = verify_all(5)

@@ -1,5 +1,6 @@
-"""Smoke test of the repository's measuring tools."""
+"""Smoke test of the repository's measuring and checking tools."""
 
+import importlib.util
 import os
 import subprocess
 import sys
@@ -37,3 +38,28 @@ def test_digest_commands_only_grow_at_the_end():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["558", "d2fdb3b637b4156acce9e2f0617e083b42f41af165adc34236d89ef4686a7a1b"]
+
+
+def _mutants():
+    # tools/mutants.py, loaded from its file.
+    spec = importlib.util.spec_from_file_location("_mutants_for_tests", os.path.join(_REPO, "tools", "mutants.py"))
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_mutant_old_text_occurs_once():
+    mutants = _mutants()
+    assert mutants.MUTANTS
+    assert len({m[0] for m in mutants.MUTANTS}) == len(mutants.MUTANTS)
+    assert mutants.misplaced() == []
+
+
+def test_power_kernel_mutants_are_killed():
+    names = ["square-without-spread", "times-x-unreduced"]
+    proc = subprocess.run(
+        [sys.executable, os.path.join(_REPO, "tools", "mutants.py"), *names],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert proc.stdout.splitlines() == [f"{name}\tkilled" for name in names]

@@ -1,0 +1,184 @@
+"""Mutation checks: each mutant is one edit to a copy of the tree, and
+the test module named with it must fail on that copy.
+
+    python3 tools/mutants.py [NAME ...]
+
+Runs the named mutants, or all of them. For each, it copies src/,
+tests/ and perfbench/ (one test reads perfbench/layertrace.py) into a
+fresh temporary directory, replaces the one occurrence of the old text
+in the file with the new text, runs `python -m pytest -q -x MODULE`
+there with PYTHONPATH at the copy's src/, and prints the name with
+`killed` (the module failed) or `survived` (it passed). It exits 1 if
+a mutant survives, if pytest ends in any other way (no tests, a usage
+error), or if an old text does not occur exactly once in its file,
+which is checked for every mutant before any runs; 2 on an unknown
+name. A mutant that no test can tell from the original does not
+belong in the list. Since pytest stops at the first failure, a killed
+mutant takes a few seconds.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+
+HERE = os.path.dirname(os.path.abspath(__file__))
+REPO = os.path.dirname(HERE)
+_COPIED = ("src", "tests", "perfbench")
+
+# (name, file, old text, new text, test module that must fail).
+MUTANTS = [
+    (
+        "square-without-spread", "src/maxca/gf2poly.py",
+        'r = _mod(int(format(r, "b"), 4), m)',
+        'r = _mod(int(format(r, "b"), 2), m)',
+        "tests/test_gf2poly.py",
+    ),
+    (
+        "times-x-unreduced", "src/maxca/gf2poly.py",
+        "            r <<= 1\n            if r & top:\n                r ^= m\n",
+        "            r <<= 1\n",
+        "tests/test_gf2poly.py",
+    ),
+    (
+        "recurrence-one-cell-late", "src/maxca/charpoly.py",
+        "    for i in range(1, n):\n",
+        "    for i in range(2, n):\n",
+        "tests/test_charpoly.py",
+    ),
+    (
+        "step-ignores-cell-0-rule", "src/maxca/automaton.py",
+        "    return ((bits << 1) ^ (bits >> 1) ^ (bits & mask)) & lim\n",
+        "    return ((bits << 1) ^ (bits >> 1) ^ (bits & mask & ~1)) & lim\n",
+        "tests/test_automaton.py",
+    ),
+    (
+        "slid-window-bit-flipped", "src/maxca/gf2poly.py",
+        "            del window[:n]\n",
+        "            del window[:n]\n            window[0] ^= 1\n",
+        "tests/test_automaton.py",
+    ),
+    (
+        "enumerate-maxlen-drops-a-vector", "src/maxca/enumerator.py",
+        "    hits, _ = _scan(n, _primitive_set(n))\n    hits.sort()\n",
+        "    hits, _ = _scan(n, _primitive_set(n))\n    hits.sort()\n    del hits[-1]\n",
+        "tests/test_consistency.py",
+    ),
+    (
+        "trial-division-stops-at-2000", "src/maxca/primitivity.py",
+        "    while d * d <= rest:\n",
+        "    while d * d <= rest and d < 2000:\n",
+        "tests/test_consistency.py",
+    ),
+    (
+        "multiplicity-of-331-doubled", "src/maxca/primitivity.py",
+        "        factors.append((rest, 1))\n",
+        "        factors.append((rest, 2 if rest == 331 else 1))\n",
+        "tests/test_consistency.py",
+    ),
+    (
+        "is-primitive-skips-a-prime", "src/maxca/primitivity.py",
+        "    for q in f.distinct_primes():\n",
+        "    for q in f.distinct_primes()[1:]:\n",
+        "tests/test_primitivity.py",
+    ),
+    (
+        "m-sequence-one-term-short", "src/maxca/lanes.py",
+        "[1] + [0] * (n - 1)), (1 << n) - 1):",
+        "[1] + [0] * (n - 1)), (1 << n) - 2):",
+        "tests/test_primitivity.py",
+    ),
+    (
+        "lanes-binds-math-gcd", "src/maxca/lanes.py",
+        "import math\n",
+        "import math\nfrom math import gcd\n",
+        "tests/test_primitivity.py",
+    ),
+    (
+        "massey-lanes-without-complexity-check", "src/maxca/lanes.py",
+        "    if any(planes):\n",
+        "    if False:\n",
+        "tests/test_primitivity.py",
+    ),
+    (
+        "mirror-fold-branches-swapped", "src/maxca/lanes.py",
+        "fold = flags & inner & keep | ~flags & (inner | keep) if i < k else keep",
+        "fold = flags & (inner | keep) | ~flags & inner & keep if i < k else keep",
+        "tests/test_enumerator.py",
+    ),
+    (
+        "bound-skips-cli-bindings", "src/maxca/cli.py",
+        "    return [bound[name] if name in bound else __getattr__(name) for name in names]\n",
+        "    return [__getattr__(name) for name in names]\n",
+        "tests/test_cli.py",
+    ),
+    (
+        "argv-without-prefixes", "src/maxca/cli.py",
+        "for n in names if n.startswith(name)]",
+        "for n in names if n == name]",
+        "tests/test_cli.py",
+    ),
+]
+
+
+def _read(root: str, path: str) -> str:
+    with open(os.path.join(root, path), encoding="utf-8") as f:
+        return f.read()
+
+
+def misplaced() -> list[str]:
+    """The mutants whose old text does not occur exactly once in its
+    file, each as 'name: N occurrences'."""
+    return [
+        f"{name}: {count} occurrences"
+        for name, path, old, _, _ in MUTANTS
+        if (count := _read(REPO, path).count(old)) != 1
+    ]
+
+
+def run(mutant) -> str:
+    """'killed', 'survived' or 'error (pytest exit N)' for one mutant."""
+    name, path, old, new, module = mutant
+    tmp = tempfile.mkdtemp(prefix=f"mutant-{name}-")
+    try:
+        ignore = shutil.ignore_patterns("__pycache__", ".hypothesis", ".pytest_cache")
+        for d in _COPIED:
+            shutil.copytree(os.path.join(REPO, d), os.path.join(tmp, d), ignore=ignore)
+        source = _read(tmp, path)
+        with open(os.path.join(tmp, path), "w", encoding="utf-8") as f:
+            f.write(source.replace(old, new))
+        pythonpath = os.pathsep.join(filter(None, [os.path.join(tmp, "src"), os.environ.get("PYTHONPATH")]))
+        code = subprocess.run(
+            [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", module],
+            cwd=tmp, env=dict(os.environ, PYTHONPATH=pythonpath), stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+        ).returncode
+    finally:
+        shutil.rmtree(tmp, ignore_errors=True)
+    # pytest exits 1 when a test failed and 0 when all passed.
+    return {0: "survived", 1: "killed"}.get(code, f"error (pytest exit {code})")
+
+
+def main(argv: list[str]) -> int:
+    by_name = {m[0]: m for m in MUTANTS}
+    unknown = [name for name in argv if name not in by_name]
+    if unknown:
+        print(f"mutants.py: unknown mutant(s): {', '.join(unknown)}", file=sys.stderr)
+        return 2
+    problems = misplaced()
+    for line in problems:
+        print(f"mutants.py: old text of {line}", file=sys.stderr)
+    if problems:
+        return 1
+    failed = 0
+    for mutant in [by_name[name] for name in argv] or MUTANTS:
+        outcome = run(mutant)
+        print(f"{mutant[0]}\t{outcome}", flush=True)
+        failed += outcome != "killed"
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
