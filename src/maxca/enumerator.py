@@ -4,14 +4,15 @@ Scans every one of the 2^n main diagonals of the tridiagonal transition
 matrix, computes the characteristic polynomial, and keeps the diagonals
 whose polynomial is in the set of primitive polynomials of degree n.
 That set is built once, by decimation (`enumerate_primitive`), so no
-order test runs per diagonal. The scan still counts how the diagonals
-fall through the cascade: even coefficient weight, zero constant term
-(neither possible for a primitive polynomial), not in the set, hit.
-From 8 cells on, the scan is bit-sliced (`lanes._charpoly_lanes`): it
-runs 256 diagonals per lane word, one per setting of cells 0..7, reads
-back one diagonal per mirror pair, and only n < 8 takes one charpoly
-per diagonal. Each hit comes with its mask reversed, the sort key of
-the output, so the results sort as plain tuples.
+order test runs per diagonal, and the scan returns only its hits. How
+the diagonals fall through the rejection cascade (even coefficient
+weight, zero constant term, not primitive, hit) needs no scan: each
+count has a closed form (`filter_stats`). From 8 cells on, the scan is
+bit-sliced (`lanes._charpoly_lanes`): it runs 256 diagonals per lane
+word, one per setting of cells 0..7, reads back one diagonal per
+mirror pair, and only n < 8 takes one charpoly per diagonal. Each hit
+comes with its mask reversed, the sort key of the output, so the
+results sort as plain tuples.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from .charpoly import RuleVector, _charpoly_bits, reverse
 from .gf2poly import Gf2Poly, _Record, _reverse_bits, format_poly
 # factorize_mersenne is not called here; it stays bound because
 # perfbench/layertrace.py wraps maxca.enumerator's names, this one too.
-from .primitivity import enumerate_primitive, factorize_mersenne, is_primitive
+from .primitivity import enumerate_primitive, factorize_mersenne, is_primitive, primitive_count
 
 __all__ = [
     "EXHAUSTIVE_CAP",
@@ -80,29 +81,22 @@ def _primitive_set(n: int) -> frozenset[int]:
     return frozenset(p.bits for p in enumerate_primitive(n))
 
 
-def _scan(n: int, targets: frozenset[int]) -> tuple[list[tuple[int, int, int]], tuple[int, int, int]]:
+def _scan(n: int, targets: frozenset[int]) -> list[tuple[int, int, int]]:
     # All 2^n diagonals whose polynomial is in targets, as (polynomial
     # bits, reversed diagonal mask, diagonal mask), so that the tuples
-    # sort in output order, and the cascade counts (even weight, zero
-    # constant, not in targets) of the rest. From 8 cells on, 256
-    # diagonals at a time, one per bit lane; below that, one at a time.
+    # sort in output order. Targets hold only polynomials of odd weight
+    # with constant term 1: the bit-sliced scan reads back no other
+    # diagonal. From 8 cells on, 256 diagonals at a time, one per bit
+    # lane; below that, one at a time.
     from .lanes import _LANE_CELLS, _charpoly_lanes
 
     if n >= _LANE_CELLS:
         return _charpoly_lanes(n, targets)
-    even_weight = zero_constant = missed = 0
-    hits = []
-    for mask in range(1 << n):
-        bits = _charpoly_bits(mask, n)
-        if bits.bit_count() % 2 == 0:
-            even_weight += 1
-        elif bits & 1 == 0:
-            zero_constant += 1
-        elif bits not in targets:
-            missed += 1
-        else:
-            hits.append((bits, _reverse_bits(mask, n), mask))
-    return hits, (even_weight, zero_constant, missed)
+    return [
+        (bits, _reverse_bits(mask, n), mask)
+        for mask in range(1 << n)
+        if (bits := _charpoly_bits(mask, n)) in targets
+    ]
 
 
 def enumerate_maxlen(n: int, *, jobs: int = 1, force: bool = False) -> list[MaxLenEntry]:
@@ -117,7 +111,7 @@ def enumerate_maxlen(n: int, *, jobs: int = 1, force: bool = False) -> list[MaxL
     _check_n(n, force)
     if jobs < 1:
         raise ValueError("jobs must be >= 1")
-    hits, _ = _scan(n, _primitive_set(n))
+    hits = _scan(n, _primitive_set(n))
     hits.sort()
     entries = []
     # A polynomial's vectors are adjacent once sorted; they share one Gf2Poly.
@@ -137,12 +131,32 @@ def rule_vectors_for(p: Gf2Poly, *, force: bool = False) -> list[RuleVector]:
         raise ValueError(f"{format_poly(p)} is not primitive")
     n = p.degree
     _check_n(n, force)
-    hits, _ = _scan(n, frozenset((p.bits,)))
+    hits = _scan(n, frozenset((p.bits,)))
     return [RuleVector.from_mask(mask, n) for _, _, mask in sorted(hits)]
 
 
+def _jacobsthal(k: int) -> int:
+    return ((1 << k) - (-1) ** k) // 3
+
+
 def filter_stats(n: int, *, force: bool = False) -> FilterStats:
-    """Count how many diagonals each rejection step removed."""
+    """Count how many diagonals each rejection step removes, from
+    closed forms, with no listing and no scan.
+
+    det(I + T) = p(1) = 0 on J(n) diagonals, J(k) = (2^k - (-1)^k)/3
+    the Jacobsthal numbers; p(0) = 0 with p(1) = 1 on
+    J(ceil(n/2)) * J(floor(n/2) + 1); and each primitive polynomial has
+    exactly two rule vectors (Cattell & Muzio, IEEE TCAD 15(3), 1996),
+    so 2 * primitive_count(n) survive. The first two are transfer-matrix
+    counts (Stanley, Enumerative Combinatorics 1, 4.7) over the 16
+    states (p_{k-1}(0), p_{k-1}(1), p_k(0), p_k(1)); the product form
+    matches that matrix for every n = 2..64, and the tests check it up
+    to MAX_FACTOR_N. With force, n reaches MAX_FACTOR_N, where
+    primitive_count stops.
+    """
     _check_n(n, force)
-    hits, (even_weight, zero_constant, not_primitive) = _scan(n, _primitive_set(n))
-    return FilterStats(n, 1 << n, even_weight, zero_constant, not_primitive, len(hits))
+    even_weight = _jacobsthal(n)
+    zero_constant = _jacobsthal((n + 1) // 2) * _jacobsthal(n // 2 + 1)
+    survivors = 2 * primitive_count(n)
+    not_primitive = (1 << n) - even_weight - zero_constant - survivors
+    return FilterStats(n, 1 << n, even_weight, zero_constant, not_primitive, survivors)

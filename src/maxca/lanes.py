@@ -20,7 +20,8 @@ setting of cells 0..7, with one step for every cell. A diagonal and its
 mirror image have one polynomial, so the walk compares each mirror pair
 of cells as it sets the pair's outer cell, reads back only the diagonal
 of each mirror pair whose mask is at most its reversal, and each hit
-gives its mirror too.
+gives its mirror too. It returns only the hits; the cascade counts are
+`enumerator.filter_stats`'s closed forms.
 Both kernels read their lanes back into ints through one transpose,
 `_lane_ints`. Of the `maxca` commands, only `enum` and `primpoly-list`
 import this module, so the others (every stream and audit query) do
@@ -149,11 +150,10 @@ def _lane_ints(words, lanes: int, live: int | None = None):
         yield lane, int(rows[lane::lanes], 2)
 
 
-def _charpoly_lanes(n: int, targets: frozenset[int]) -> tuple[list[tuple[int, int, int]], tuple[int, int, int]]:
+def _charpoly_lanes(n: int, targets: frozenset[int]) -> list[tuple[int, int, int]]:
     # What enumerator._scan returns, for n >= 8 cells: every diagonal
     # whose characteristic polynomial is in targets, as (polynomial
-    # bits, reversed diagonal mask, diagonal mask), and the counts (even
-    # weight, zero constant, not in targets) of the rest. Lane l holds
+    # bits, reversed diagonal mask, diagonal mask). Lane l holds
     # the diagonals whose cells 0..7 are set as l, and coefficient j of
     # p_k over every lane is one word. The cells are walked depth first:
     # a lane cell has one child, flagged by its word, and a cell from 8
@@ -163,7 +163,6 @@ def _charpoly_lanes(n: int, targets: frozenset[int]) -> tuple[list[tuple[int, in
     full = (1 << lanes) - 1
     # Bit l of cell k's flag word is bit k of l.
     cells = [sum(1 << lane for lane in range(lanes) if lane >> k & 1) for k in range(_LANE_CELLS)]
-    even_weight = zero_constant = live_count = 0
     hits = []
     # (k, flags of cells 8..k-1, keep, p_{k-1}, p_k) from p_{-1} = 0,
     # p_0 = 1, where keep holds the lanes whose mask is at most its
@@ -190,13 +189,10 @@ def _charpoly_lanes(n: int, targets: frozenset[int]) -> tuple[list[tuple[int, in
                 stack.append((k + 1, high | (flags == full) << k, fold, cur, step))
             continue
         # A polynomial of even weight has the factor x + 1; one with a
-        # zero constant term has the factor x. Only the rest are read,
-        # and each hit gives its mirror too.
+        # zero constant term has the factor x. Targets hold neither, so
+        # only the rest are read, and each hit gives its mirror too.
         odd = reduce(xor, cur)
         live = odd & cur[0]
-        even_weight += lanes - odd.bit_count()
-        zero_constant += (odd & ~cur[0]).bit_count()
-        live_count += live.bit_count()
         for lane, bits in _lane_ints(cur[::-1], lanes, live & keep):
             if bits in targets:
                 mask = high | lane
@@ -204,7 +200,7 @@ def _charpoly_lanes(n: int, targets: frozenset[int]) -> tuple[list[tuple[int, in
                 hits.append((bits, mirror, mask))
                 if mirror != mask:
                     hits.append((bits, mask, mirror))
-    return hits, (even_weight, zero_constant, live_count - len(hits))
+    return hits
 
 
 def _berlekamp_massey(bits) -> int:

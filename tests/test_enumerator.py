@@ -5,6 +5,7 @@ a per-diagonal loop."""
 import os
 import subprocess
 import sys
+from collections import Counter
 
 import pytest
 
@@ -22,7 +23,7 @@ from maxca.enumerator import (
 )
 from maxca.gf2poly import _reverse_bits, format_poly, parse_poly, weight
 from maxca.lanes import _charpoly_lanes
-from maxca.primitivity import enumerate_primitive, factorize_mersenne, is_primitive, primitive_count
+from maxca.primitivity import MAX_FACTOR_N, enumerate_primitive, factorize_mersenne, is_primitive, primitive_count
 
 
 def entry_strings(entries):
@@ -52,6 +53,24 @@ def scan_per_diagonal(n, targets):
         else:
             missed += 1
     return hits, (even_weight, zero_constant, missed)
+
+
+def cascade_by_transfer_matrix(n):
+    # (even weight, zero constant) by the transfer-matrix method: count
+    # the diagonals in each of the 16 states (p_{k-1}(0), p_{k-1}(1),
+    # p_k(0), p_k(1)) from p_{-1} = 0, p_0 = 1, cell by cell, where
+    # p_{k+1} = (x + d_k) p_k + p_{k-1} over GF(2). Weight is even
+    # exactly where p(1) = 0.
+    counts = Counter({(0, 0, 1, 1): 1})
+    for _ in range(n):
+        step = Counter()
+        for (a0, a1, b0, b1), count in counts.items():
+            for d in (0, 1):
+                step[b0, b1, d & b0 ^ a0, (1 ^ d) & b1 ^ a1] += count
+        counts = step
+    even_weight = sum(count for state, count in counts.items() if state[3] == 0)
+    zero_constant = sum(count for state, count in counts.items() if state[2:] == (0, 1))
+    return even_weight, zero_constant
 
 
 class TestEnumerateMaxlen:
@@ -206,14 +225,22 @@ class TestFilterStats:
                 == s.total
             )
 
-    @pytest.mark.parametrize("n", (8, 12))
+    @pytest.mark.parametrize("n", range(2, 8))
     def test_each_count_matches_per_diagonal_scan(self, n):
-        # Each field in its place; the kernel's counts themselves are
-        # TestCharpolyLanes's.
+        # Each field in its place; TestCharpolyLanes goes on to n = 18.
         hits, (even_weight, zero_constant, missed) = scan_per_diagonal(n, _primitive_set(n))
         assert filter_stats(n) == FilterStats(
             n, 1 << n, even_weight, zero_constant, missed, len(hits)
         )
+
+    def test_counts_match_transfer_matrix(self):
+        # The closed forms against the transfer matrix, and two rule
+        # vectors per primitive polynomial, as far as force reaches.
+        for n in range(2, MAX_FACTOR_N + 1):
+            s = filter_stats(n, force=True)
+            assert (s.even_weight, s.zero_constant) == cascade_by_transfer_matrix(n), n
+            assert s.survivors == 2 * primitive_count(n)
+            assert s.even_weight + s.zero_constant + s.not_primitive + s.survivors == s.total == 1 << n
 
     def test_survivors_match_enumeration(self):
         for n in (2, 5, 8):
@@ -242,11 +269,16 @@ class TestCharpolyLanes:
         # every mirror derived from one is checked. Each hit carries its
         # mask reversed, the sort key. At n = 17 the middle cell, 8, is
         # a walked cell with no pair, and at n = 18 two walked cells (8
-        # and 9) first make a pair.
-        for targets in (_primitive_set(n), odd_weight(n)):
-            hits, counts = _charpoly_lanes(n, targets)
+        # and 9) first make a pair. The oracle's counts for the primitive
+        # set are filter_stats's closed forms.
+        primitive = _primitive_set(n)
+        for targets in (primitive, odd_weight(n)):
+            hits = _charpoly_lanes(n, targets)
             assert all(key == _reverse_bits(mask, n) for _, key, mask in hits)
-            assert (sorted((mask, bits) for bits, _, mask in hits), counts) == scan_per_diagonal(n, targets)
+            want, (even_weight, zero_constant, missed) = scan_per_diagonal(n, targets)
+            assert sorted((mask, bits) for bits, _, mask in hits) == want
+            if targets is primitive:
+                assert filter_stats(n) == FilterStats(n, 1 << n, even_weight, zero_constant, missed, len(want))
 
     @pytest.mark.parametrize("n", (8, 9, 12, 13))
     def test_hits_closed_under_reversal(self, n):
@@ -254,7 +286,7 @@ class TestCharpolyLanes:
         # comes out once too, and a palindrome, its own mirror, once.
         # Palindromes pass the cascade at even n only (none of the
         # 2^ceil(n/2) does at odd n <= 13), so even n covers their lanes.
-        hits, _ = _charpoly_lanes(n, odd_weight(n))
+        hits = _charpoly_lanes(n, odd_weight(n))
         # The diagonal read back is the one whose mask is at most its
         # reversal, and its mirror, if another, is the next hit.
         entries = iter(hits)

@@ -8,6 +8,7 @@ import pytest
 from maxca.automaton import _cycle_length_jump, unit_seed
 from maxca.charpoly import RuleVector, characteristic_polynomial
 from maxca.cli import main
+from maxca.enumerator import EXHAUSTIVE_CAP, filter_stats
 from maxca.gf2poly import MAX_DEGREE, DegreeOverflowError, Gf2Poly
 from maxca.primitivity import (
     LISTING_CAP,
@@ -17,6 +18,7 @@ from maxca.primitivity import (
     is_irreducible,
     is_primitive,
     order_of_x,
+    primitive_count,
 )
 
 
@@ -84,6 +86,28 @@ class TestListingCap:
     def test_cli_exit_2(self, capsys, argv):
         err = _cli_error(capsys, *argv)
         assert err.startswith(f"maxca {argv[0]}: error: listing the primitive polynomials")
+
+
+class TestFilterStatsLimits:
+    # filter_stats builds no listing, so with force it goes past
+    # LISTING_CAP and stops where primitive_count does.
+    def test_same_messages_without_force(self):
+        assert _message(filter_stats, 1) == "need at least 2 cells, got 1"
+        n = EXHAUSTIVE_CAP + 1
+        assert _message(filter_stats, n) == (
+            f"exhaustive scan of 2^{n} diagonals exceeds the n<={EXHAUSTIVE_CAP} "
+            "cap; use the force override to go beyond it"
+        )
+
+    def test_force_goes_past_the_listing_cap(self):
+        n = LISTING_CAP + 1
+        s = filter_stats(n, force=True)
+        assert s.total == 1 << n
+        assert s.survivors == 2 * primitive_count(n)
+
+    def test_force_stops_at_the_factoring_limit(self):
+        n = MAX_FACTOR_N + 1
+        assert _message(filter_stats, n, force=True) == _message(factorize_mersenne, n)
 
 
 class TestDegreeAtLeastOne:

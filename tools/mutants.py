@@ -63,9 +63,15 @@ MUTANTS = [
     ),
     (
         "enumerate-maxlen-drops-a-vector", "src/maxca/enumerator.py",
-        "    hits, _ = _scan(n, _primitive_set(n))\n    hits.sort()\n",
-        "    hits, _ = _scan(n, _primitive_set(n))\n    hits.sort()\n    del hits[-1]\n",
+        "    hits = _scan(n, _primitive_set(n))\n    hits.sort()\n",
+        "    hits = _scan(n, _primitive_set(n))\n    hits.sort()\n    del hits[-1]\n",
         "tests/test_consistency.py",
+    ),
+    (
+        "zero-constant-wrong-even-factor", "src/maxca/enumerator.py",
+        "_jacobsthal(n // 2 + 1)",
+        "_jacobsthal((n + 1) // 2)",
+        "tests/test_enumerator.py",
     ),
     (
         "trial-division-stops-at-2000", "src/maxca/primitivity.py",
