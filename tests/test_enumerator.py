@@ -225,9 +225,10 @@ class TestFilterStats:
                 == s.total
             )
 
-    @pytest.mark.parametrize("n", range(2, 8))
+    @pytest.mark.parametrize("n", (2, 3, 4, 5, 6, 7, 8, 12))
     def test_each_count_matches_per_diagonal_scan(self, n):
-        # Each field in its place; TestCharpolyLanes goes on to n = 18.
+        # Each field in its place, on both scan paths (n < 8 and the
+        # lanes); TestCharpolyLanes goes on to n = 18.
         hits, (even_weight, zero_constant, missed) = scan_per_diagonal(n, _primitive_set(n))
         assert filter_stats(n) == FilterStats(
             n, 1 << n, even_weight, zero_constant, missed, len(hits)
