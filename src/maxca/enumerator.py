@@ -7,10 +7,10 @@ That set is built once, by decimation (`enumerate_primitive`), so no
 order test runs per diagonal, and the scan returns only its hits. How
 the diagonals fall through the rejection cascade (even coefficient
 weight, zero constant term, not primitive, hit) needs no scan: each
-count has a closed form (`filter_stats`). From 8 cells on, the scan is
-bit-sliced (`lanes._charpoly_lanes`): it runs 256 diagonals per lane
-word, one per setting of cells 0..7, reads back one diagonal per
-mirror pair, and only n < 8 takes one charpoly per diagonal. Each hit
+count has a closed form (`filter_stats`). From 8 cells on, the scan
+runs 256 diagonals at once (`lanes._charpoly_lanes`), one per setting
+of cells 0..7, each polynomial a slot of one int, and a hit gives its
+mirror image too; only n < 8 takes one charpoly per diagonal. Each hit
 comes with its mask reversed, the sort key of the output, so the
 results sort as plain tuples.
 """
@@ -84,10 +84,9 @@ def _primitive_set(n: int) -> frozenset[int]:
 def _scan(n: int, targets: frozenset[int]) -> list[tuple[int, int, int]]:
     # All 2^n diagonals whose polynomial is in targets, as (polynomial
     # bits, reversed diagonal mask, diagonal mask), so that the tuples
-    # sort in output order. Targets hold only polynomials of odd weight
-    # with constant term 1: the bit-sliced scan reads back no other
-    # diagonal. From 8 cells on, 256 diagonals at a time, one per bit
-    # lane; below that, one at a time.
+    # sort in output order. Targets may be any set of polynomials of
+    # degree n. From 8 cells on, 256 diagonals at a time, one per slot
+    # of an int; below that, one at a time.
     from .lanes import _LANE_CELLS, _charpoly_lanes
 
     if n >= _LANE_CELLS:

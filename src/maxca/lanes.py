@@ -16,21 +16,23 @@ oracle.
 The module also holds the scan of `enumerator._scan` for 8 or more
 cells, `_charpoly_lanes`: one depth-first walk over the n cells that
 runs the charpoly recurrence over 256 diagonals at once, one lane per
-setting of cells 0..7, with one step for every cell. A diagonal and its
-mirror image have one polynomial, so the walk compares each mirror pair
-of cells as it sets the pair's outer cell, reads back only the diagonal
-of each mirror pair whose mask is at most its reversal, and each hit
-gives its mirror too. It returns only the hits; the cascade counts are
-`enumerator.filter_stats`'s closed forms.
-Both kernels read their lanes back into ints through one transpose,
-`_lane_ints`. Of the `maxca` commands, only `enum` and `primpoly-list`
-import this module, so the others (every stream and audit query) do
-not compile it.
+setting of cells 0..7, with one step for every cell. It is SIMD within
+a register (Fisher & Dietz, LCPC 1998): each diagonal's p_k is one slot
+of w bits of a single int, w the least of 8/16/32/64 above n, so each
+step is a few int operations for all 256, and each leaf reads its 256
+polynomials back in one C call. A diagonal and its mirror image have
+one polynomial, so each hit gives its mirror too. It returns only the
+hits; the cascade counts are `enumerator.filter_stats`'s closed forms.
+`_massey_lanes` reads its bit lanes back into ints through one
+transpose, `_lane_ints`. Of the `maxca` commands, only `enum` and
+`primpoly-list` import this module, so the others (every stream and
+audit query) do not compile it.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from functools import reduce
 from itertools import compress, islice
 from operator import add, and_, itemgetter, xor
@@ -134,72 +136,67 @@ def _massey_lanes(words, n: int, lanes: int) -> list[int]:
     if any(planes):
         raise RuntimeError(f"a decimation has linear complexity other than n={n}")
     # Polynomial of lane l: bit l of the coefficient words, c_0 highest.
-    return [bits for _, bits in _lane_ints(conn, lanes)]
+    return _lane_ints(conn, lanes)
 
 
-def _lane_ints(words, lanes: int, live: int | None = None):
+def _lane_ints(words, lanes: int) -> list[int]:
     # Bit l of every word, the first word the most significant, read as
-    # one int: yields (l, that int) for each lane l below lanes, or only
-    # for the lanes whose bit is set in live. The words' LSB-first rows
-    # are joined into one string, so lane l's digits are one slice.
+    # one int, for each lane l below lanes, in lane order. The words'
+    # LSB-first rows are joined into one string, so lane l's digits are
+    # one slice.
     rows = "".join([_format_lsb(w, lanes) for w in words])
-    chosen = range(lanes)
-    if live is not None:
-        chosen = compress(chosen, map("1".__eq__, _format_lsb(live, lanes)))
-    for lane in chosen:
-        yield lane, int(rows[lane::lanes], 2)
+    return [int(rows[lane::lanes], 2) for lane in range(lanes)]
 
 
 def _charpoly_lanes(n: int, targets: frozenset[int]) -> list[tuple[int, int, int]]:
     # What enumerator._scan returns, for n >= 8 cells: every diagonal
-    # whose characteristic polynomial is in targets, as (polynomial
-    # bits, reversed diagonal mask, diagonal mask). Lane l holds
-    # the diagonals whose cells 0..7 are set as l, and coefficient j of
-    # p_k over every lane is one word. The cells are walked depth first:
-    # a lane cell has one child, flagged by its word, and a cell from 8
-    # on has two, flagged 0 and full, so diagonals that share their high
-    # cells share those steps, and each leaf finishes 256 of them.
-    lanes = 1 << _LANE_CELLS
-    full = (1 << lanes) - 1
-    # Bit l of cell k's flag word is bit k of l.
-    cells = [sum(1 << lane for lane in range(lanes) if lane >> k & 1) for k in range(_LANE_CELLS)]
+    # whose characteristic polynomial is in targets, any set of degree-n
+    # polynomials, as (polynomial bits, reversed diagonal mask, diagonal
+    # mask). Lane l holds the diagonal whose cells 0..7 are set as l,
+    # and its p_k is slot l of one int, `width` bits from bit l * width.
+    # The width is the least of 8/16/32/64 above n, so no p_k (degree
+    # at most n) carries into the next slot. The lane cells are stepped
+    # once; the cells from 8 on are walked depth first, two children
+    # each, so diagonals that share their high cells share those steps,
+    # and each leaf finishes 256 of them.
+    size = next(b for b in (1, 2, 4, 8) if 8 * b > n)
+    width, lanes = 8 * size, 1 << _LANE_CELLS
+    full = (1 << width * lanes) - 1
+    # p_{k+1} = x p_k + p_{k-1}, plus p_k where cell k is rule 150, from
+    # p_{-1} = 0 and p_0 = 1 in every slot.
+    prev, cur = 0, full // ((1 << width) - 1)
+    for k in range(_LANE_CELLS):
+        # All ones in the slot of each lane whose bit k is set: runs of
+        # 2^k slots, every other run.
+        run = width << k
+        flags = (((1 << run) - 1) << run) * (full // ((1 << 2 * run) - 1))
+        prev, cur = cur, (cur << 1) ^ prev ^ (flags & cur)
+    # A diagonal and its mirror image have one polynomial, since
+    # reversal conjugates T. So of each mirror pair of hits only the one
+    # whose mask is at most its reversal is kept, and its mirror, if
+    # another, follows it.
+    reversed_lanes = [_reverse_bits(lane, n) for lane in range(lanes)]
+    cast = "BHIQ"[size.bit_length() - 1]
     hits = []
-    # (k, flags of cells 8..k-1, keep, p_{k-1}, p_k) from p_{-1} = 0,
-    # p_0 = 1, where keep holds the lanes whose mask is at most its
-    # reversal on the pairs of cells compared so far.
-    stack = [(0, 0, full, [], [full])]
+    # (k, cells 8..k-1 as set bits, p_{k-1}, p_k).
+    stack = [(_LANE_CELLS, 0, prev, cur)]
     while stack:
-        k, high, keep, prev, cur = stack.pop()
+        k, high, prev, cur = stack.pop()
         if k < n:
-            # p_{k+1} = x p_k + p_{k-1}, plus p_k where cell k is rule 150.
-            base = list(map(xor, [0, *cur], prev + [0, 0]))
-            # A diagonal and its mirror image have one polynomial, since
-            # reversal conjugates T, so only the lanes whose mask is at
-            # most its reversal are read back. Setting an outer cell k
-            # (i < k) compares it with cell i = n-1-k; the walk meets the
-            # pairs from the middle out, so the outer pair decides: where
-            # cell k is set the mask stays at most its reversal only if
-            # cell i is set and it was so already; where it is clear, if
-            # cell i is set or it was so already.
-            i = n - 1 - k
-            inner = cells[i] if i < _LANE_CELLS else full * (high >> i & 1)
-            for flags in (cells[k],) if k < _LANE_CELLS else (0, full):
-                step = [b ^ flags & c for b, c in zip(base, cur + [0])] if flags else base
-                fold = flags & inner & keep | ~flags & (inner | keep) if i < k else keep
-                stack.append((k + 1, high | (flags == full) << k, fold, cur, step))
+            base = (cur << 1) ^ prev
+            stack.append((k + 1, high, cur, base))
+            stack.append((k + 1, high | 1 << k, cur, base ^ cur))
             continue
-        # A polynomial of even weight has the factor x + 1; one with a
-        # zero constant term has the factor x. Targets hold neither, so
-        # only the rest are read, and each hit gives its mirror too.
-        odd = reduce(xor, cur)
-        live = odd & cur[0]
-        for lane, bits in _lane_ints(cur[::-1], lanes, live & keep):
-            if bits in targets:
-                mask = high | lane
-                mirror = _reverse_bits(mask, n)
-                hits.append((bits, mirror, mask))
+        # The 256 slots read back as ints with no loop in Python: the
+        # int's bytes, viewed as an array of slot-wide items.
+        polys = memoryview(cur.to_bytes(size * lanes, sys.byteorder)).cast(cast).tolist()
+        reversed_high = _reverse_bits(high, n)
+        for lane in compress(range(lanes), map(targets.__contains__, polys)):
+            mask, mirror = high | lane, reversed_high | reversed_lanes[lane]
+            if mask <= mirror:
+                hits.append((polys[lane], mirror, mask))
                 if mirror != mask:
-                    hits.append((bits, mask, mirror))
+                    hits.append((polys[lane], mask, mirror))
     return hits
 
 

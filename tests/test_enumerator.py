@@ -1,6 +1,6 @@
 """Exhaustive search: table reproduction, filter soundness, mirror
-closure, agreement with raw simulation, and the bit-sliced scan against
-a per-diagonal loop."""
+closure, agreement with raw simulation, and the lane scan against a
+per-diagonal loop."""
 
 import os
 import subprocess
@@ -37,7 +37,7 @@ def odd_weight(n):
 
 
 def scan_per_diagonal(n, targets):
-    # The reference for the bit-sliced scan: one charpoly per diagonal,
+    # The reference for the lane scan: one charpoly per diagonal,
     # in mask order, with the hits and the counts (even weight, zero
     # constant, not in targets) of the rest.
     even_weight = zero_constant = missed = 0
@@ -280,6 +280,17 @@ class TestCharpolyLanes:
             assert sorted((mask, bits) for bits, _, mask in hits) == want
             if targets is primitive:
                 assert filter_stats(n) == FilterStats(n, 1 << n, even_weight, zero_constant, missed, len(want))
+
+    @pytest.mark.parametrize("n", range(8, 17))
+    def test_every_degree_n_target_gives_every_diagonal(self, n):
+        # With every polynomial of degree n as a target, every diagonal
+        # is a hit, palindromes and even-weight polynomials included,
+        # each once and with its own polynomial. At n = 15 a polynomial
+        # fills its 16-bit slot; n = 16 is the first with 32-bit slots.
+        hits = _charpoly_lanes(n, frozenset(range(1 << n, 1 << (n + 1))))
+        assert sorted(mask for _, _, mask in hits) == list(range(1 << n))
+        assert all(bits == _charpoly_bits(mask, n) for bits, _, mask in hits)
+        assert all(key == _reverse_bits(mask, n) for _, key, mask in hits)
 
     @pytest.mark.parametrize("n", (8, 9, 12, 13))
     def test_hits_closed_under_reversal(self, n):

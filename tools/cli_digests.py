@@ -19,7 +19,7 @@ and --errata, usage errors that must exit 2 with one stderr line, then
 same stdout as without --jobs) and `enum --n 4 --jobs 0` (exit 2, one
 stderr line), then `charpoly --rules` on vectors of 7, 8, 9 and 64
 cells, `cycle --rules` at n = 9 and 12 (the jump path), `enum --n
-17..20 --format tsv` (the larger bit-sliced scans), `enum --n 17..20`
+17..20 --format tsv` (the larger lane scans), `enum --n 17..20`
 in the paper format, and last the reading of argv: one argv per kind
 of usage error (no or an unknown command, a missing option or value, a
 bad int or choice, an ambiguous prefix, a value given to a flag, an

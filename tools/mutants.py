@@ -110,9 +110,15 @@ MUTANTS = [
         "tests/test_primitivity.py",
     ),
     (
-        "mirror-fold-branches-swapped", "src/maxca/lanes.py",
-        "fold = flags & inner & keep | ~flags & (inner | keep) if i < k else keep",
-        "fold = flags & (inner | keep) | ~flags & inner & keep if i < k else keep",
+        "slot-width-one-size-small", "src/maxca/lanes.py",
+        "if 8 * b > n)",
+        "if 8 * b >= n)",
+        "tests/test_enumerator.py",
+    ),
+    (
+        "mirror-rule-drops-palindromes", "src/maxca/lanes.py",
+        "            if mask <= mirror:\n",
+        "            if mask < mirror:\n",
         "tests/test_enumerator.py",
     ),
     (
