@@ -7,17 +7,20 @@ That set is built once, by decimation (`enumerate_primitive`), so no
 order test runs per diagonal, and the scan returns only its hits. How
 the diagonals fall through the rejection cascade (even coefficient
 weight, zero constant term, not primitive, hit) needs no scan: each
-count has a closed form (`filter_stats`). From 8 cells on, the scan
-runs 256 diagonals at once (`lanes._charpoly_lanes`), one per setting
-of cells 0..7, each polynomial a slot of one int, and a hit gives its
-mirror image too; only n < 8 takes one charpoly per diagonal. Each hit
-comes with its mask reversed, the sort key of the output, so the
-results sort as plain tuples.
+count has a closed form (`filter_stats`). One function, `_scan`, runs
+the scan. Below 8 cells it takes one charpoly per diagonal. From 8
+cells on it walks the cells depth first over 256 diagonals at once, one
+per setting of cells 0..7. That walk is SIMD within a register (Fisher
+& Dietz, LCPC 1998): each diagonal's p_k is one slot of a single int, so
+a step is a few int operations for all 256, and each leaf reads its 256
+polynomials back in one C call. Each hit comes with its mask reversed,
+the sort key of the output, so the results sort as plain tuples.
 """
 
 from __future__ import annotations
 
-from itertools import groupby
+import sys
+from itertools import compress, groupby
 from operator import itemgetter
 
 from .charpoly import RuleVector, _charpoly_bits, reverse
@@ -38,6 +41,9 @@ __all__ = [
 # 2^n diagonals at O(n^2) each stays comfortable up to here; beyond it
 # callers must opt in explicitly.
 EXHAUSTIVE_CAP = 20
+
+# Cells that the scan's lanes set: lane l sets cells 0..7 as the bits of l.
+_LANE_CELLS = 8
 
 
 class MaxLenEntry(_Record):
@@ -85,17 +91,53 @@ def _scan(n: int, targets: frozenset[int]) -> list[tuple[int, int, int]]:
     # All 2^n diagonals whose polynomial is in targets, as (polynomial
     # bits, reversed diagonal mask, diagonal mask), so that the tuples
     # sort in output order. Targets may be any set of polynomials of
-    # degree n. From 8 cells on, 256 diagonals at a time, one per slot
-    # of an int; below that, one at a time.
-    from .lanes import _LANE_CELLS, _charpoly_lanes
-
-    if n >= _LANE_CELLS:
-        return _charpoly_lanes(n, targets)
-    return [
-        (bits, _reverse_bits(mask, n), mask)
-        for mask in range(1 << n)
-        if (bits := _charpoly_bits(mask, n)) in targets
-    ]
+    # degree n.
+    if n < _LANE_CELLS:
+        return [
+            (bits, _reverse_bits(mask, n), mask)
+            for mask in range(1 << n)
+            if (bits := _charpoly_bits(mask, n)) in targets
+        ]
+    # Lane l holds the diagonal whose cells 0..7 are set as l, and its
+    # p_k is slot l of one int, `width` bits from bit l * width. The
+    # width is the least of 8/16/32/64 above n, so no p_k (degree at
+    # most n) carries into the next slot. The lane cells are stepped
+    # once; the cells from 8 on are walked depth first, two children
+    # each, so diagonals that share their high cells share those steps,
+    # and each leaf finishes 256 of them.
+    size = next(b for b in (1, 2, 4, 8) if 8 * b > n)
+    width, lanes = 8 * size, 1 << _LANE_CELLS
+    full = (1 << width * lanes) - 1
+    # p_{k+1} = x p_k + p_{k-1}, plus p_k where cell k is rule 150, from
+    # p_{-1} = 0 and p_0 = 1 in every slot.
+    prev, cur = 0, full // ((1 << width) - 1)
+    for k in range(_LANE_CELLS):
+        # All ones in the slot of each lane whose bit k is set: runs of
+        # 2^k slots, every other run.
+        run = width << k
+        flags = (((1 << run) - 1) << run) * (full // ((1 << 2 * run) - 1))
+        prev, cur = cur, (cur << 1) ^ prev ^ (flags & cur)
+    reversed_lanes = [_reverse_bits(lane, n) for lane in range(lanes)]
+    cast = "BHIQ"[size.bit_length() - 1]
+    hits = []
+    # (k, cells 8..k-1 as set bits, p_{k-1}, p_k).
+    stack = [(_LANE_CELLS, 0, prev, cur)]
+    while stack:
+        k, high, prev, cur = stack.pop()
+        if k < n:
+            base = (cur << 1) ^ prev
+            stack.append((k + 1, high, cur, base))
+            stack.append((k + 1, high | 1 << k, cur, base ^ cur))
+            continue
+        # The 256 slots read back as ints with no loop in Python: the
+        # int's bytes, viewed as an array of slot-wide items.
+        polys = memoryview(cur.to_bytes(size * lanes, sys.byteorder)).cast(cast).tolist()
+        reversed_high = _reverse_bits(high, n)
+        hits += [
+            (polys[lane], reversed_high | reversed_lanes[lane], high | lane)
+            for lane in compress(range(lanes), map(targets.__contains__, polys))
+        ]
+    return hits
 
 
 def enumerate_maxlen(n: int, *, jobs: int = 1, force: bool = False) -> list[MaxLenEntry]:

@@ -13,28 +13,17 @@ algorithm over 2n words, with no branch per lane, gives every
 polynomial. `_berlekamp_massey`, one sequence at a time, is its test
 oracle.
 
-The module also holds the scan of `enumerator._scan` for 8 or more
-cells, `_charpoly_lanes`: one depth-first walk over the n cells that
-runs the charpoly recurrence over 256 diagonals at once, one lane per
-setting of cells 0..7, with one step for every cell. It is SIMD within
-a register (Fisher & Dietz, LCPC 1998): each diagonal's p_k is one slot
-of w bits of a single int, w the least of 8/16/32/64 above n, so each
-step is a few int operations for all 256, and each leaf reads its 256
-polynomials back in one C call. A diagonal and its mirror image have
-one polynomial, so each hit gives its mirror too. It returns only the
-hits; the cascade counts are `enumerator.filter_stats`'s closed forms.
 `_massey_lanes` reads its bit lanes back into ints through one
-transpose, `_lane_ints`. Of the `maxca` commands, only `enum` and
-`primpoly-list` import this module, so the others (every stream and
-audit query) do not compile it.
+transpose. Of the `maxca` commands, only `enum` and `primpoly-list`
+import this module, both for the listing, so the others (every stream
+and audit query) do not compile it.
 """
 
 from __future__ import annotations
 
 import math
-import sys
 from functools import reduce
-from itertools import compress, islice
+from itertools import islice
 from operator import add, and_, itemgetter, xor
 
 from .gf2poly import _first_bits, _format_lsb, _recurrence_blocks, _reverse_bits
@@ -42,9 +31,6 @@ from .gf2poly import _first_bits, _format_lsb, _recurrence_blocks, _reverse_bits
 # Lanes per pass: one pass up to n = 18, and at n = 24 seventeen, whose
 # index lists stay near 0.6 MB each.
 _LANES = 1 << 14
-
-# Cells that the scan's lanes set: lane l sets cells 0..7 as the bits of l.
-_LANE_CELLS = 8
 
 
 def _primitive_bits(p0: int, n: int) -> list[int]:
@@ -136,68 +122,10 @@ def _massey_lanes(words, n: int, lanes: int) -> list[int]:
     if any(planes):
         raise RuntimeError(f"a decimation has linear complexity other than n={n}")
     # Polynomial of lane l: bit l of the coefficient words, c_0 highest.
-    return _lane_ints(conn, lanes)
-
-
-def _lane_ints(words, lanes: int) -> list[int]:
-    # Bit l of every word, the first word the most significant, read as
-    # one int, for each lane l below lanes, in lane order. The words'
-    # LSB-first rows are joined into one string, so lane l's digits are
-    # one slice.
-    rows = "".join([_format_lsb(w, lanes) for w in words])
+    # The words' LSB-first rows are joined into one string, so lane l's
+    # digits are one slice.
+    rows = "".join([_format_lsb(c, lanes) for c in conn])
     return [int(rows[lane::lanes], 2) for lane in range(lanes)]
-
-
-def _charpoly_lanes(n: int, targets: frozenset[int]) -> list[tuple[int, int, int]]:
-    # What enumerator._scan returns, for n >= 8 cells: every diagonal
-    # whose characteristic polynomial is in targets, any set of degree-n
-    # polynomials, as (polynomial bits, reversed diagonal mask, diagonal
-    # mask). Lane l holds the diagonal whose cells 0..7 are set as l,
-    # and its p_k is slot l of one int, `width` bits from bit l * width.
-    # The width is the least of 8/16/32/64 above n, so no p_k (degree
-    # at most n) carries into the next slot. The lane cells are stepped
-    # once; the cells from 8 on are walked depth first, two children
-    # each, so diagonals that share their high cells share those steps,
-    # and each leaf finishes 256 of them.
-    size = next(b for b in (1, 2, 4, 8) if 8 * b > n)
-    width, lanes = 8 * size, 1 << _LANE_CELLS
-    full = (1 << width * lanes) - 1
-    # p_{k+1} = x p_k + p_{k-1}, plus p_k where cell k is rule 150, from
-    # p_{-1} = 0 and p_0 = 1 in every slot.
-    prev, cur = 0, full // ((1 << width) - 1)
-    for k in range(_LANE_CELLS):
-        # All ones in the slot of each lane whose bit k is set: runs of
-        # 2^k slots, every other run.
-        run = width << k
-        flags = (((1 << run) - 1) << run) * (full // ((1 << 2 * run) - 1))
-        prev, cur = cur, (cur << 1) ^ prev ^ (flags & cur)
-    # A diagonal and its mirror image have one polynomial, since
-    # reversal conjugates T. So of each mirror pair of hits only the one
-    # whose mask is at most its reversal is kept, and its mirror, if
-    # another, follows it.
-    reversed_lanes = [_reverse_bits(lane, n) for lane in range(lanes)]
-    cast = "BHIQ"[size.bit_length() - 1]
-    hits = []
-    # (k, cells 8..k-1 as set bits, p_{k-1}, p_k).
-    stack = [(_LANE_CELLS, 0, prev, cur)]
-    while stack:
-        k, high, prev, cur = stack.pop()
-        if k < n:
-            base = (cur << 1) ^ prev
-            stack.append((k + 1, high, cur, base))
-            stack.append((k + 1, high | 1 << k, cur, base ^ cur))
-            continue
-        # The 256 slots read back as ints with no loop in Python: the
-        # int's bytes, viewed as an array of slot-wide items.
-        polys = memoryview(cur.to_bytes(size * lanes, sys.byteorder)).cast(cast).tolist()
-        reversed_high = _reverse_bits(high, n)
-        for lane in compress(range(lanes), map(targets.__contains__, polys)):
-            mask, mirror = high | lane, reversed_high | reversed_lanes[lane]
-            if mask <= mirror:
-                hits.append((polys[lane], mirror, mask))
-                if mirror != mask:
-                    hits.append((polys[lane], mask, mirror))
-    return hits
 
 
 def _berlekamp_massey(bits) -> int:

@@ -1,6 +1,6 @@
 """Exhaustive search: table reproduction, filter soundness, mirror
-closure, agreement with raw simulation, and the lane scan against a
-per-diagonal loop."""
+closure, agreement with raw simulation, and both branches of the scan
+against a per-diagonal loop."""
 
 import os
 import subprocess
@@ -17,12 +17,12 @@ from maxca.enumerator import (
     FilterStats,
     MaxLenEntry,
     _primitive_set,
+    _scan,
     enumerate_maxlen,
     filter_stats,
     rule_vectors_for,
 )
 from maxca.gf2poly import _reverse_bits, format_poly, parse_poly, weight
-from maxca.lanes import _charpoly_lanes
 from maxca.primitivity import MAX_FACTOR_N, enumerate_primitive, factorize_mersenne, is_primitive, primitive_count
 
 
@@ -37,9 +37,9 @@ def odd_weight(n):
 
 
 def scan_per_diagonal(n, targets):
-    # The reference for the lane scan: one charpoly per diagonal,
-    # in mask order, with the hits and the counts (even weight, zero
-    # constant, not in targets) of the rest.
+    # The reference for both branches of the scan: one charpoly per
+    # diagonal, in mask order, with the hits and the counts (even
+    # weight, zero constant, not in targets) of the rest.
     even_weight = zero_constant = missed = 0
     hits = []
     for mask in range(1 << n):
@@ -263,49 +263,43 @@ class TestFilterStats:
 
 
 class TestCharpolyLanes:
-    @pytest.mark.parametrize("n", range(8, 19))
+    @pytest.mark.parametrize("n", range(2, 19))
     def test_matches_per_diagonal_scan(self, n):
-        # The primitive set, and every odd-weight polynomial, which every
-        # lane that passes the cascade hits, so every lane read back and
-        # every mirror derived from one is checked. Each hit carries its
-        # mask reversed, the sort key. At n = 17 the middle cell, 8, is
-        # a walked cell with no pair, and at n = 18 two walked cells (8
-        # and 9) first make a pair. The oracle's counts for the primitive
-        # set are filter_stats's closed forms.
+        # Both branches, one charpoly per diagonal below 8 cells and the
+        # lane walk from 8 on. The primitive set, and every odd-weight
+        # polynomial, which every lane that passes the cascade hits, so
+        # every lane read back is checked. Each hit carries its mask
+        # reversed, the sort key. At n = 17 the middle cell, 8, is a
+        # walked cell, and at n = 18 two walked cells (8 and 9) first
+        # mirror each other. The oracle's counts for the primitive set
+        # are filter_stats's closed forms.
         primitive = _primitive_set(n)
         for targets in (primitive, odd_weight(n)):
-            hits = _charpoly_lanes(n, targets)
+            hits = _scan(n, targets)
             assert all(key == _reverse_bits(mask, n) for _, key, mask in hits)
             want, (even_weight, zero_constant, missed) = scan_per_diagonal(n, targets)
             assert sorted((mask, bits) for bits, _, mask in hits) == want
             if targets is primitive:
                 assert filter_stats(n) == FilterStats(n, 1 << n, even_weight, zero_constant, missed, len(want))
 
-    @pytest.mark.parametrize("n", range(8, 17))
+    @pytest.mark.parametrize("n", range(2, 17))
     def test_every_degree_n_target_gives_every_diagonal(self, n):
         # With every polynomial of degree n as a target, every diagonal
         # is a hit, palindromes and even-weight polynomials included,
         # each once and with its own polynomial. At n = 15 a polynomial
         # fills its 16-bit slot; n = 16 is the first with 32-bit slots.
-        hits = _charpoly_lanes(n, frozenset(range(1 << n, 1 << (n + 1))))
+        hits = _scan(n, frozenset(range(1 << n, 1 << (n + 1))))
         assert sorted(mask for _, _, mask in hits) == list(range(1 << n))
         assert all(bits == _charpoly_bits(mask, n) for bits, _, mask in hits)
         assert all(key == _reverse_bits(mask, n) for _, key, mask in hits)
 
     @pytest.mark.parametrize("n", (8, 9, 12, 13))
     def test_hits_closed_under_reversal(self, n):
-        # Only one diagonal of each mirror pair is read back; the other
-        # comes out once too, and a palindrome, its own mirror, once.
+        # A diagonal and its mirror image have one polynomial, so each
+        # comes out once, and a palindrome, its own mirror, once.
         # Palindromes pass the cascade at even n only (none of the
         # 2^ceil(n/2) does at odd n <= 13), so even n covers their lanes.
-        hits = _charpoly_lanes(n, odd_weight(n))
-        # The diagonal read back is the one whose mask is at most its
-        # reversal, and its mirror, if another, is the next hit.
-        entries = iter(hits)
-        for _, key, mask in entries:
-            assert mask <= key
-            if key != mask:
-                assert next(entries)[2] == key
+        hits = _scan(n, odd_weight(n))
         masks = [mask for _, _, mask in hits]
         assert len(set(masks)) == len(masks)
         assert {_reverse_bits(mask, n) for mask in masks} == set(masks)

@@ -87,6 +87,15 @@ class TestLoadContract:
         loaded = maxca_modules(_RUN_CLI, "enum", "--n", "4")
         assert loaded == package_with("gf2poly primitivity lanes charpoly enumerator")
 
+    def test_rule_vectors_for_does_not_load_lanes(self):
+        # The scan from 8 cells on lives in enumerator; only the listing
+        # of the primitive polynomials needs lanes.
+        code = (
+            "from maxca.enumerator import rule_vectors_for; from maxca.gf2poly import parse_poly; "
+            f"rule_vectors_for(parse_poly('100011101')); {_PRINT_LOADED}"
+        )
+        assert maxca_modules(code) == package_with("gf2poly primitivity charpoly enumerator")
+
     def test_verify_tables_does_not_load_enumerator(self):
         loaded = maxca_modules(_RUN_CLI, "verify-tables", "--n", "4")
         assert loaded == package_with("gf2poly primitivity charpoly automaton tables")

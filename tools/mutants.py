@@ -110,15 +110,21 @@ MUTANTS = [
         "tests/test_primitivity.py",
     ),
     (
-        "slot-width-one-size-small", "src/maxca/lanes.py",
+        "slot-width-one-size-small", "src/maxca/enumerator.py",
         "if 8 * b > n)",
         "if 8 * b >= n)",
         "tests/test_enumerator.py",
     ),
     (
-        "mirror-rule-drops-palindromes", "src/maxca/lanes.py",
-        "            if mask <= mirror:\n",
-        "            if mask < mirror:\n",
+        "sort-key-drops-high-cells", "src/maxca/enumerator.py",
+        "reversed_high | reversed_lanes[lane]",
+        "reversed_lanes[lane]",
+        "tests/test_enumerator.py",
+    ),
+    (
+        "lane-walk-from-7-cells", "src/maxca/enumerator.py",
+        "    if n < _LANE_CELLS:\n",
+        "    if n < _LANE_CELLS - 1:\n",
         "tests/test_enumerator.py",
     ),
     (
