@@ -8,13 +8,14 @@ order test runs per diagonal, and the scan returns only its hits. How
 the diagonals fall through the rejection cascade (even coefficient
 weight, zero constant term, not primitive, hit) needs no scan: each
 count has a closed form (`filter_stats`). One function, `_scan`, runs
-the scan. Below 8 cells it takes one charpoly per diagonal. From 8
-cells on it walks the cells depth first over 256 diagonals at once, one
-per setting of cells 0..7. That walk is SIMD within a register (Fisher
-& Dietz, LCPC 1998): each diagonal's p_k is one slot of a single int, so
-a step is a few int operations for all 256, and each leaf reads its 256
-polynomials back in one C call. Each hit comes with its mask reversed,
-the sort key of the output, so the results sort as plain tuples.
+the scan, one way at every n: 2^min(n, 8) lanes, one per setting of
+cells 0..min(n, 8)-1, each started from one charpoly of those cells,
+then a depth-first walk over the cells from 8 on for all lanes at once.
+That walk is SIMD within a register (Fisher & Dietz, LCPC 1998): each
+diagonal's p_k is one slot of a single int, so a step is a few int
+operations for all lanes, and each leaf reads its polynomials back in
+one C call. Each hit comes with its mask reversed, the sort key of the
+output, so the results sort as plain tuples.
 """
 
 from __future__ import annotations
@@ -38,11 +39,13 @@ __all__ = [
     "filter_stats",
 ]
 
-# 2^n diagonals at O(n^2) each stays comfortable up to here; beyond it
-# callers must opt in explicitly.
+# enumerate_maxlen (the listing, the scan and the records) takes about
+# 0.4-0.6 s at n = 20 on a 2-vCPU VM, and its cost roughly doubles with
+# each cell; beyond it callers must opt in explicitly.
 EXHAUSTIVE_CAP = 20
 
-# Cells that the scan's lanes set: lane l sets cells 0..7 as the bits of l.
+# The most cells that the scan's lanes set: lane l sets cells
+# 0..min(n, 8)-1 as the bits of l.
 _LANE_CELLS = 8
 
 
@@ -91,37 +94,31 @@ def _scan(n: int, targets: frozenset[int]) -> list[tuple[int, int, int]]:
     # All 2^n diagonals whose polynomial is in targets, as (polynomial
     # bits, reversed diagonal mask, diagonal mask), so that the tuples
     # sort in output order. Targets may be any set of polynomials of
-    # degree n.
-    if n < _LANE_CELLS:
-        return [
-            (bits, _reverse_bits(mask, n), mask)
-            for mask in range(1 << n)
-            if (bits := _charpoly_bits(mask, n)) in targets
-        ]
-    # Lane l holds the diagonal whose cells 0..7 are set as l, and its
-    # p_k is slot l of one int, `width` bits from bit l * width. The
-    # width is the least of 8/16/32/64 above n, so no p_k (degree at
-    # most n) carries into the next slot. The lane cells are stepped
-    # once; the cells from 8 on are walked depth first, two children
-    # each, so diagonals that share their high cells share those steps,
-    # and each leaf finishes 256 of them.
+    # degree n. Lane l holds the diagonal whose cells 0..cells-1 are
+    # set as l, and its p_k is one `width`-bit slot of a single int, the
+    # slot that a leaf reads back as item l. The width is the least of
+    # 8/16/32/64 above n, so no p_k (degree at most n) carries into the
+    # next slot. Each lane starts from one charpoly of its cells; the
+    # cells from `cells` on are walked depth first, two children each,
+    # so diagonals that share their high cells share those steps, and
+    # each leaf finishes all the lanes. Up to 8 cells the first entry
+    # is already a leaf.
     size = next(b for b in (1, 2, 4, 8) if 8 * b > n)
-    width, lanes = 8 * size, 1 << _LANE_CELLS
-    full = (1 << width * lanes) - 1
-    # p_{k+1} = x p_k + p_{k-1}, plus p_k where cell k is rule 150, from
-    # p_{-1} = 0 and p_0 = 1 in every slot.
-    prev, cur = 0, full // ((1 << width) - 1)
-    for k in range(_LANE_CELLS):
-        # All ones in the slot of each lane whose bit k is set: runs of
-        # 2^k slots, every other run.
-        run = width << k
-        flags = (((1 << run) - 1) << run) * (full // ((1 << 2 * run) - 1))
-        prev, cur = cur, (cur << 1) ^ prev ^ (flags & cur)
+    cells = min(n, _LANE_CELLS)
+    width, lanes = 8 * size, 1 << cells
+    # p_cells in every slot, packed as a leaf reads the slots back.
+    starts = b"".join(_charpoly_bits(lane, cells).to_bytes(size, sys.byteorder) for lane in range(lanes))
+    cur = int.from_bytes(starts, sys.byteorder)
+    # Lanes l and l + lanes/2 differ only in cell cells-1, so their
+    # p_cells differ by p_{cells-1}, which the two share.
+    half = width * lanes // 2
+    low = (cur ^ cur >> half) & ((1 << half) - 1)
+    prev = low | low << half
     reversed_lanes = [_reverse_bits(lane, n) for lane in range(lanes)]
     cast = "BHIQ"[size.bit_length() - 1]
     hits = []
-    # (k, cells 8..k-1 as set bits, p_{k-1}, p_k).
-    stack = [(_LANE_CELLS, 0, prev, cur)]
+    # (k, cells `cells`..k-1 as set bits, p_{k-1}, p_k).
+    stack = [(cells, 0, prev, cur)]
     while stack:
         k, high, prev, cur = stack.pop()
         if k < n:
@@ -129,7 +126,7 @@ def _scan(n: int, targets: frozenset[int]) -> list[tuple[int, int, int]]:
             stack.append((k + 1, high, cur, base))
             stack.append((k + 1, high | 1 << k, cur, base ^ cur))
             continue
-        # The 256 slots read back as ints with no loop in Python: the
+        # The slots read back as ints with no loop in Python: the
         # int's bytes, viewed as an array of slot-wide items.
         polys = memoryview(cur.to_bytes(size * lanes, sys.byteorder)).cast(cast).tolist()
         reversed_high = _reverse_bits(high, n)

@@ -1,6 +1,6 @@
 """Exhaustive search: table reproduction, filter soundness, mirror
-closure, agreement with raw simulation, and both branches of the scan
-against a per-diagonal loop."""
+closure, agreement with raw simulation, and the lane scan against a
+per-diagonal loop at every n from 2."""
 
 import os
 import subprocess
@@ -37,9 +37,9 @@ def odd_weight(n):
 
 
 def scan_per_diagonal(n, targets):
-    # The reference for both branches of the scan: one charpoly per
-    # diagonal, in mask order, with the hits and the counts (even
-    # weight, zero constant, not in targets) of the rest.
+    # The reference for the lane scan: one charpoly per diagonal, in
+    # mask order, with the hits and the counts (even weight, zero
+    # constant, not in targets) of the rest.
     even_weight = zero_constant = missed = 0
     hits = []
     for mask in range(1 << n):
@@ -227,8 +227,8 @@ class TestFilterStats:
 
     @pytest.mark.parametrize("n", (2, 3, 4, 5, 6, 7, 8, 12))
     def test_each_count_matches_per_diagonal_scan(self, n):
-        # Each field in its place, on both scan paths (n < 8 and the
-        # lanes); TestCharpolyLanes goes on to n = 18.
+        # Each field in its place, below 8 cells and from 8 on;
+        # TestCharpolyLanes goes on to n = 18.
         hits, (even_weight, zero_constant, missed) = scan_per_diagonal(n, _primitive_set(n))
         assert filter_stats(n) == FilterStats(
             n, 1 << n, even_weight, zero_constant, missed, len(hits)
@@ -265,14 +265,14 @@ class TestFilterStats:
 class TestCharpolyLanes:
     @pytest.mark.parametrize("n", range(2, 19))
     def test_matches_per_diagonal_scan(self, n):
-        # Both branches, one charpoly per diagonal below 8 cells and the
-        # lane walk from 8 on. The primitive set, and every odd-weight
+        # Up to 8 cells the lane starts are the whole scan: one leaf of
+        # 2^n lanes, read back through 8-bit slots. From 9 on the walk
+        # steps cells 8..n-1, and at n = 17 and 18 it walks more cells
+        # than the lanes set. The primitive set, and every odd-weight
         # polynomial, which every lane that passes the cascade hits, so
         # every lane read back is checked. Each hit carries its mask
-        # reversed, the sort key. At n = 17 the middle cell, 8, is a
-        # walked cell, and at n = 18 two walked cells (8 and 9) first
-        # mirror each other. The oracle's counts for the primitive set
-        # are filter_stats's closed forms.
+        # reversed, the sort key. The oracle's counts for the primitive
+        # set are filter_stats's closed forms.
         primitive = _primitive_set(n)
         for targets in (primitive, odd_weight(n)):
             hits = _scan(n, targets)

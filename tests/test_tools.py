@@ -55,11 +55,20 @@ def test_every_mutant_old_text_occurs_once():
     assert mutants.misplaced() == []
 
 
-def test_power_kernel_mutants_are_killed():
-    names = ["square-without-spread", "times-x-unreduced"]
+def _assert_killed(names):
     proc = subprocess.run(
         [sys.executable, os.path.join(_REPO, "tools", "mutants.py"), *names],
         capture_output=True, text=True,
     )
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert proc.stdout.splitlines() == [f"{name}\tkilled" for name in names]
+
+
+def test_power_kernel_mutants_are_killed():
+    _assert_killed(["square-without-spread", "times-x-unreduced"])
+
+
+def test_lane_start_mutants_are_killed():
+    # The scan's lanes start from one _charpoly_bits call each; the
+    # oracle tests must catch a wrong p_cells or a wrong p_{cells-1}.
+    _assert_killed(["lane-prev-from-one-half", "lane-seed-one-cell-short"])

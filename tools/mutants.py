@@ -122,9 +122,15 @@ MUTANTS = [
         "tests/test_enumerator.py",
     ),
     (
-        "lane-walk-from-7-cells", "src/maxca/enumerator.py",
-        "    if n < _LANE_CELLS:\n",
-        "    if n < _LANE_CELLS - 1:\n",
+        "lane-prev-from-one-half", "src/maxca/enumerator.py",
+        "    prev = low | low << half\n",
+        "    prev = low\n",
+        "tests/test_enumerator.py",
+    ),
+    (
+        "lane-seed-one-cell-short", "src/maxca/enumerator.py",
+        "_charpoly_bits(lane, cells)",
+        "_charpoly_bits(lane, cells - 1)",
         "tests/test_enumerator.py",
     ),
     (
