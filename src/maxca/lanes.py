@@ -10,8 +10,8 @@ m-sequence whose minimal polynomial is primitive, and each cyclotomic
 coset gives a distinct one. The decimations run as the bit lanes of big
 ints: term i of every decimation is one word, and one pass of Massey's
 algorithm over 2n words, with no branch per lane, gives every
-polynomial. `_berlekamp_massey`, one sequence at a time, is its test
-oracle.
+polynomial. Its test oracle, the scalar pass over one sequence at a
+time, lives in the tests.
 
 `_massey_lanes` reads its bit lanes back into ints through one
 transpose. Of the `maxca` commands, only `enum` and `primpoly-list`
@@ -24,9 +24,9 @@ from __future__ import annotations
 import math
 from functools import reduce
 from itertools import islice
-from operator import add, and_, itemgetter, xor
+from operator import and_, itemgetter, xor
 
-from .gf2poly import _first_bits, _format_lsb, _recurrence_blocks, _reverse_bits
+from .gf2poly import _first_bits, _format_lsb, _recurrence_blocks
 
 # Lanes per pass: one pass up to n = 18, and at n = 24 seventeen, whose
 # index lists stay near 0.6 MB each.
@@ -77,12 +77,9 @@ def _decimations(digits: bytearray, period: int, leaders: list[int], count: int)
     # The first count terms of the decimations s[k*i mod period] of the
     # sequence s that digits holds, one lane word per term: bit l of
     # word i is term i of the decimation by leaders[l]. Each word is one
-    # itemgetter call and one int parse, and each index list is the
-    # last one plus the leaders, reduced by one subtraction.
-    idx = [0] * len(leaders)
+    # itemgetter call and one int parse, over the indices k*i mod period.
     for i in range(count):
-        if i:
-            idx = [x - period if x >= period else x for x in map(add, idx, leaders)]
+        idx = [k * i % period for k in leaders]
         terms = itemgetter(*idx)(digits)
         # (itemgetter of one index returns the item, not a tuple.) The
         # gathered terms are digits already, so the parse is unchecked:
@@ -91,11 +88,11 @@ def _decimations(digits: bytearray, period: int, leaders: list[int], count: int)
 
 
 def _massey_lanes(words, n: int, lanes: int) -> list[int]:
-    # What _berlekamp_massey returns, for many sequences at once: bit l
-    # of words[i] is term i of sequence l, and each sequence must have
-    # linear complexity exactly n, which its first 2n terms pin down.
-    # Returns the polynomials in lane order, or raises RuntimeError if a
-    # lane ends with another linear complexity.
+    # What the tests' scalar Berlekamp-Massey returns, for many sequences
+    # at once: bit l of words[i] is term i of sequence l, and each
+    # sequence must have linear complexity exactly n, which its first 2n
+    # terms pin down. Returns the polynomials in lane order, or raises
+    # RuntimeError if a lane ends with another linear complexity.
     #
     # No lane branches. With D = x^m * B (B the connection polynomial
     # before the last length change, m the steps since), each step is
@@ -126,27 +123,3 @@ def _massey_lanes(words, n: int, lanes: int) -> list[int]:
     # digits are one slice.
     rows = "".join([_format_lsb(c, lanes) for c in conn])
     return [int(rows[lane::lanes], 2) for lane in range(lanes)]
-
-
-def _berlekamp_massey(bits) -> int:
-    """Characteristic polynomial of the shortest linear recurrence that
-    generates the 0/1 sequence `bits`, as coefficient bits.
-
-    A sequence of linear complexity L is pinned down by its first 2L
-    terms. The all-zero sequence gives 1 (degree 0). The test oracle
-    of the bit-sliced pass `_massey_lanes`, which the listing runs.
-    """
-    conn, prev, length, gap, window = 1, 1, 0, 1, 0
-    for i, bit in enumerate(bits):
-        # Bit j of window is s[i - j]; bit j of conn is the connection
-        # coefficient c_j, so the discrepancy is their dot product.
-        window = (window << 1) | bit
-        if (conn & window).bit_count() & 1:
-            if 2 * length <= i:
-                conn, prev = conn ^ (prev << gap), conn
-                length, gap = i + 1 - length, 1
-                continue
-            conn ^= prev << gap
-        gap += 1
-    # x^L * C(1/x): the connection polynomial read backwards.
-    return _reverse_bits(conn, length + 1)

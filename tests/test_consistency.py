@@ -11,7 +11,6 @@ from maxca.automaton import CaState, _cycle_length_jump, _stream_chunks
 from maxca.charpoly import RuleVector, characteristic_polynomial, reverse
 from maxca.enumerator import enumerate_maxlen
 from maxca.gf2poly import _BLOCK_BITS, MAX_DEGREE, _mod
-from maxca.lanes import _berlekamp_massey
 from maxca.primitivity import (
     MAX_FACTOR_N,
     factorize_mersenne,
@@ -19,6 +18,7 @@ from maxca.primitivity import (
     order_of_x,
     primitive_count,
 )
+from test_primitivity import _berlekamp_massey
 
 
 def _window(rv, seed, tap, start, count):

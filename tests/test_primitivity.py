@@ -8,7 +8,7 @@ import os
 
 import pytest
 
-from maxca.gf2poly import Gf2Poly, format_poly, mod_reduce, mul, parse_poly, pow_x_mod
+from maxca.gf2poly import Gf2Poly, _reverse_bits, format_poly, mod_reduce, mul, parse_poly, pow_x_mod
 from maxca.primitivity import (
     MAX_FACTOR_N,
     _period,
@@ -21,7 +21,6 @@ from maxca.primitivity import (
 )
 from maxca import lanes
 from maxca.lanes import (
-    _berlekamp_massey,
     _coset_leaders,
     _decimations,
     _m_sequence,
@@ -293,6 +292,30 @@ class TestEnumeratePrimitive:
     @pytest.mark.parametrize("n", range(2, 15))
     def test_matches_filter_oracle(self, n):
         assert [p.bits for p in enumerate_primitive(n)] == _filter_primitive(n)
+
+
+def _berlekamp_massey(bits) -> int:
+    """Characteristic polynomial of the shortest linear recurrence that
+    generates the 0/1 sequence `bits`, as coefficient bits.
+
+    A sequence of linear complexity L is pinned down by its first 2L
+    terms. The all-zero sequence gives 1 (degree 0). The test oracle
+    of the bit-sliced pass `_massey_lanes`, which the listing runs.
+    """
+    conn, prev, length, gap, window = 1, 1, 0, 1, 0
+    for i, bit in enumerate(bits):
+        # Bit j of window is s[i - j]; bit j of conn is the connection
+        # coefficient c_j, so the discrepancy is their dot product.
+        window = (window << 1) | bit
+        if (conn & window).bit_count() & 1:
+            if 2 * length <= i:
+                conn, prev = conn ^ (prev << gap), conn
+                length, gap = i + 1 - length, 1
+                continue
+            conn ^= prev << gap
+        gap += 1
+    # x^L * C(1/x): the connection polynomial read backwards.
+    return _reverse_bits(conn, length + 1)
 
 
 class TestDecimationParts:

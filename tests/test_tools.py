@@ -72,3 +72,9 @@ def test_lane_start_mutants_are_killed():
     # The scan's lanes start from one _charpoly_bits call each; the
     # oracle tests must catch a wrong p_cells or a wrong p_{cells-1}.
     _assert_killed(["lane-prev-from-one-half", "lane-seed-one-cell-short"])
+
+
+def test_listing_mutants_are_killed():
+    # The listing's decimation indices and its complexity check; the
+    # lane-by-lane oracle tests must catch either.
+    _assert_killed(["decimation-index-added", "massey-lanes-without-complexity-check"])

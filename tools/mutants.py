@@ -110,6 +110,12 @@ MUTANTS = [
         "tests/test_primitivity.py",
     ),
     (
+        "decimation-index-added", "src/maxca/lanes.py",
+        "idx = [k * i % period for k in leaders]",
+        "idx = [(k + i) % period for k in leaders]",
+        "tests/test_primitivity.py",
+    ),
+    (
         "slot-width-one-size-small", "src/maxca/enumerator.py",
         "if 8 * b > n)",
         "if 8 * b >= n)",
