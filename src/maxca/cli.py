@@ -20,25 +20,26 @@ from __future__ import annotations
 
 import os
 import sys
-from itertools import islice
+from itertools import groupby, islice
+from operator import itemgetter
 from types import SimpleNamespace
 
 from .gf2poly import X, _format_lsb, _pack_blocks, format_poly, parse_poly
 
 __all__ = ["main"]
 
-# The module that owns each name a handler calls, plus the three names
-# (order_of_x, stream_bits, pack_bits) that only the benchmark's traced
-# run (perfbench/layertrace.py) reads and wraps here. A handler imports
-# only the owners of its own names, so each command compiles only the
-# modules it runs.
+# The module that owns each name a handler calls, plus the four names
+# (enumerate_maxlen, order_of_x, stream_bits, pack_bits) that only the
+# benchmark's traced run (perfbench/layertrace.py) reads and wraps here.
+# A handler imports only the owners of its own names, so each command
+# compiles only the modules it runs.
 _OWNERS = {
     name: module
     for module, names in (
         ("charpoly", "RuleVector characteristic_polynomial"),
         ("primitivity", "_order_of_x enumerate_primitive factorize_mersenne is_irreducible is_primitive order_of_x"),
         ("automaton", "_STEP_MAX_N CaState _cycle_length_jump _stream_chunks cycle_length_from pack_bits stream_bits unit_seed"),
-        ("enumerator", "enumerate_maxlen"),
+        ("enumerator", "_maxlen_hits enumerate_maxlen"),
         ("tables", "verify_all"),
     )
     for name in names.split()
@@ -72,13 +73,19 @@ def _write_lines(lines) -> None:
 
 
 def _cmd_enum(args) -> int:
-    [enumerate_maxlen] = _bound("enumerate_maxlen")
-    entries = enumerate_maxlen(args.n, jobs=args.jobs, force=args.force)
-    if args.format == "tsv":
+    [maxlen_hits] = _bound("_maxlen_hits")
+    n, tsv = args.n, args.format == "tsv"
+    hits = maxlen_hits(n, args.jobs, args.force)
+    if tsv:
         print("n\tpolynomial\trule_vector")
-        _write_lines(f"{e.n}\t{format_poly(e.polynomial)}\t{e.rule_vector}" for e in entries)
-    else:
-        _write_lines(f"{format_poly(e.polynomial)} {e.rule_vector}" for e in entries)
+    # A polynomial's vectors are adjacent; the reversed mask as n binary
+    # digits is the vector's text, cell 0 leftmost.
+    _write_lines(
+        prefix + format(rev, f"0{n}b")
+        for bits, group in groupby(hits, itemgetter(0))
+        for prefix in [f"{n}\t{bits:b}\t" if tsv else f"{bits:b} "]
+        for _, rev, _ in group
+    )
     return 0
 
 

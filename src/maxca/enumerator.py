@@ -15,7 +15,9 @@ That walk is SIMD within a register (Fisher & Dietz, LCPC 1998): each
 diagonal's p_k is one slot of a single int, so a step is a few int
 operations for all lanes, and each leaf reads its polynomials back in
 one C call. Each hit comes with its mask reversed, the sort key of the
-output, so the results sort as plain tuples.
+output, so the results sort as plain tuples. `_maxlen_hits` returns
+those sorted hits: `enum` prints from them, and `enumerate_maxlen`
+builds its records from the same list.
 """
 
 from __future__ import annotations
@@ -39,9 +41,10 @@ __all__ = [
     "filter_stats",
 ]
 
-# enumerate_maxlen (the listing, the scan and the records) takes about
-# 0.4-0.6 s at n = 20 on a 2-vCPU VM, and its cost roughly doubles with
-# each cell; beyond it callers must opt in explicitly.
+# The listing and the scan, all that `enum` runs, take about 0.5 s at
+# n = 20 on a 2-vCPU VM (enumerate_maxlen's records add about 0.3 s),
+# and the cost roughly doubles with each cell; beyond it callers must
+# opt in explicitly.
 EXHAUSTIVE_CAP = 20
 
 # The most cells that the scan's lanes set: lane l sets cells
@@ -137,6 +140,18 @@ def _scan(n: int, targets: frozenset[int]) -> list[tuple[int, int, int]]:
     return hits
 
 
+def _maxlen_hits(n: int, jobs: int, force: bool) -> list[tuple[int, int, int]]:
+    # enumerate_maxlen's search, which `enum` prints from with no
+    # records: its checks and the sorted (polynomial bits, reversed
+    # mask, mask) hits of the scan against the primitive set.
+    _check_n(n, force)
+    if jobs < 1:
+        raise ValueError("jobs must be >= 1")
+    hits = _scan(n, _primitive_set(n))
+    hits.sort()
+    return hits
+
+
 def enumerate_maxlen(n: int, *, jobs: int = 1, force: bool = False) -> list[MaxLenEntry]:
     """Every n-cell maximum-length rule vector with its polynomial.
 
@@ -146,14 +161,9 @@ def enumerate_maxlen(n: int, *, jobs: int = 1, force: bool = False) -> list[MaxL
     existing callers keep working, and changes nothing. Output is
     sorted by (polynomial binary value, rule-vector text value).
     """
-    _check_n(n, force)
-    if jobs < 1:
-        raise ValueError("jobs must be >= 1")
-    hits = _scan(n, _primitive_set(n))
-    hits.sort()
     entries = []
     # A polynomial's vectors are adjacent once sorted; they share one Gf2Poly.
-    for bits, group in groupby(hits, itemgetter(0)):
+    for bits, group in groupby(_maxlen_hits(n, jobs, force), itemgetter(0)):
         p = Gf2Poly(bits)
         entries += [MaxLenEntry(n, RuleVector.from_mask(mask, n), p) for _, _, mask in group]
     return entries

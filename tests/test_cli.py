@@ -15,7 +15,7 @@ import maxca.cli as cli
 from maxca.automaton import CaState, pack_bits, stream_bits
 from maxca.charpoly import RuleVector
 from maxca.cli import main
-from maxca.enumerator import rule_vectors_for
+from maxca.enumerator import enumerate_maxlen, rule_vectors_for
 from maxca.gf2poly import format_poly
 from maxca.primitivity import enumerate_primitive
 
@@ -76,6 +76,20 @@ class TestEnum:
         assert hashlib.sha256(out.encode()).hexdigest() == (
             "f3425166fadd63f63f199e71b05731a42fef63d03e06f764757b6055a738e754"
         )
+
+    @pytest.mark.parametrize("fmt", ["paper", "tsv"])
+    @pytest.mark.parametrize("n", range(2, 15))
+    def test_matches_enumerate_maxlen_records(self, capsys, n, fmt):
+        # enum prints from the scan's sorted ints; the records of
+        # enumerate_maxlen are the oracle for that text.
+        entries = enumerate_maxlen(n)
+        if fmt == "tsv":
+            want = ["n\tpolynomial\trule_vector"] + [f"{e.n}\t{format_poly(e.polynomial)}\t{e.rule_vector}" for e in entries]
+        else:
+            want = [f"{format_poly(e.polynomial)} {e.rule_vector}" for e in entries]
+        code, out, _ = run_main(capsys, "enum", "--n", str(n), "--format", fmt)
+        assert code == 0
+        assert out == "".join(line + "\n" for line in want)
 
     def test_jobs_byte_identical(self):
         one = run_proc("enum", "--n", "10", "--jobs", "1")

@@ -74,6 +74,13 @@ def test_lane_start_mutants_are_killed():
     _assert_killed(["lane-prev-from-one-half", "lane-seed-one-cell-short"])
 
 
+def test_enum_text_mutants_are_killed():
+    # enum prints each vector from its reversed mask, which is also the
+    # sort key; the output pins must catch the wrong mask or a sort key
+    # that drops the high cells.
+    _assert_killed(["enum-text-from-mask", "sort-key-drops-high-cells"])
+
+
 def test_listing_mutants_are_killed():
     # The listing's decimation indices and its complexity check; the
     # lane-by-lane oracle tests must catch either.

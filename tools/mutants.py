@@ -140,6 +140,12 @@ MUTANTS = [
         "tests/test_enumerator.py",
     ),
     (
+        "enum-text-from-mask", "src/maxca/cli.py",
+        "        for _, rev, _ in group\n",
+        "        for _, _, rev in group\n",
+        "tests/test_cli.py",
+    ),
+    (
         "bound-skips-cli-bindings", "src/maxca/cli.py",
         "    return [bound[name] if name in bound else __getattr__(name) for name in names]\n",
         "    return [__getattr__(name) for name in names]\n",
