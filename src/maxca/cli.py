@@ -20,8 +20,7 @@ from __future__ import annotations
 
 import os
 import sys
-from itertools import groupby, islice
-from operator import itemgetter
+from itertools import islice, starmap
 from types import SimpleNamespace
 
 from .gf2poly import X, _format_lsb, _pack_blocks, format_poly, parse_poly
@@ -74,18 +73,17 @@ def _write_lines(lines) -> None:
 
 def _cmd_enum(args) -> int:
     [maxlen_hits] = _bound("_maxlen_hits")
-    n, tsv = args.n, args.format == "tsv"
+    n = args.n
     hits = maxlen_hits(n, args.jobs, args.force)
-    if tsv:
+    # Each sorted (polynomial bits, mask) hit is one line: a vector and
+    # its mirror share their polynomial, so the mask as n binary digits
+    # is the text of a vector of that polynomial, cell 0 leftmost.
+    if args.format == "tsv":
         print("n\tpolynomial\trule_vector")
-    # A polynomial's vectors are adjacent; the reversed mask as n binary
-    # digits is the vector's text, cell 0 leftmost.
-    _write_lines(
-        prefix + format(rev, f"0{n}b")
-        for bits, group in groupby(hits, itemgetter(0))
-        for prefix in [f"{n}\t{bits:b}\t" if tsv else f"{bits:b} "]
-        for _, rev, _ in group
-    )
+        line = f"{n}\t{{:b}}\t{{:0{n}b}}".format
+    else:
+        line = f"{{:b}} {{:0{n}b}}".format
+    _write_lines(starmap(line, hits))
     return 0
 
 

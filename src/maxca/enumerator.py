@@ -14,10 +14,13 @@ then a depth-first walk over the cells from 8 on for all lanes at once.
 That walk is SIMD within a register (Fisher & Dietz, LCPC 1998): each
 diagonal's p_k is one slot of a single int, so a step is a few int
 operations for all lanes, and each leaf reads its polynomials back in
-one C call. Each hit comes with its mask reversed, the sort key of the
-output, so the results sort as plain tuples. `_maxlen_hits` returns
-those sorted hits: `enum` prints from them, and `enumerate_maxlen`
-builds its records from the same list.
+one C call. Each hit is a (polynomial bits, mask) pair, and since a
+vector and its mirror image have one polynomial (reversal conjugates
+T), each mask is also the text value (the text, cell 0 leftmost, read
+as a binary number) of a hit with that polynomial. `_maxlen_hits`
+returns the sorted pairs, which are the output in order: `enum` prints
+them as they are, and `enumerate_maxlen` builds its records from the
+same list.
 """
 
 from __future__ import annotations
@@ -93,19 +96,20 @@ def _primitive_set(n: int) -> frozenset[int]:
     return frozenset(p.bits for p in enumerate_primitive(n))
 
 
-def _scan(n: int, targets: frozenset[int]) -> list[tuple[int, int, int]]:
+def _scan(n: int, targets: frozenset[int]) -> list[tuple[int, int]]:
     # All 2^n diagonals whose polynomial is in targets, as (polynomial
-    # bits, reversed diagonal mask, diagonal mask), so that the tuples
-    # sort in output order. Targets may be any set of polynomials of
-    # degree n. Lane l holds the diagonal whose cells 0..cells-1 are
-    # set as l, and its p_k is one `width`-bit slot of a single int, the
-    # slot that a leaf reads back as item l. The width is the least of
-    # 8/16/32/64 above n, so no p_k (degree at most n) carries into the
-    # next slot. Each lane starts from one charpoly of its cells; the
-    # cells from `cells` on are walked depth first, two children each,
-    # so diagonals that share their high cells share those steps, and
-    # each leaf finishes all the lanes. Up to 8 cells the first entry
-    # is already a leaf.
+    # bits, diagonal mask) pairs; a diagonal and its mirror share their
+    # polynomial, so the same pairs read as (polynomial bits, text value)
+    # list the hits' texts, cell 0 leftmost, with no reversed mask.
+    # Targets may be any set of polynomials of degree n. Lane l holds
+    # the diagonal whose cells 0..cells-1 are set as l, and its p_k is
+    # one `width`-bit slot of a single int, the slot that a leaf reads
+    # back as item l. The width is the least of 8/16/32/64 above n, so
+    # no p_k (degree at most n) carries into the next slot. Each lane
+    # starts from one charpoly of its cells; the cells from `cells` on
+    # are walked depth first, two children each, so diagonals that share
+    # their high cells share those steps, and each leaf finishes all the
+    # lanes. Up to 8 cells the first entry is already a leaf.
     size = next(b for b in (1, 2, 4, 8) if 8 * b > n)
     cells = min(n, _LANE_CELLS)
     width, lanes = 8 * size, 1 << cells
@@ -117,7 +121,6 @@ def _scan(n: int, targets: frozenset[int]) -> list[tuple[int, int, int]]:
     half = width * lanes // 2
     low = (cur ^ cur >> half) & ((1 << half) - 1)
     prev = low | low << half
-    reversed_lanes = [_reverse_bits(lane, n) for lane in range(lanes)]
     cast = "BHIQ"[size.bit_length() - 1]
     hits = []
     # (k, cells `cells`..k-1 as set bits, p_{k-1}, p_k).
@@ -132,18 +135,19 @@ def _scan(n: int, targets: frozenset[int]) -> list[tuple[int, int, int]]:
         # The slots read back as ints with no loop in Python: the
         # int's bytes, viewed as an array of slot-wide items.
         polys = memoryview(cur.to_bytes(size * lanes, sys.byteorder)).cast(cast).tolist()
-        reversed_high = _reverse_bits(high, n)
         hits += [
-            (polys[lane], reversed_high | reversed_lanes[lane], high | lane)
+            (polys[lane], high | lane)
             for lane in compress(range(lanes), map(targets.__contains__, polys))
         ]
     return hits
 
 
-def _maxlen_hits(n: int, jobs: int, force: bool) -> list[tuple[int, int, int]]:
+def _maxlen_hits(n: int, jobs: int, force: bool) -> list[tuple[int, int]]:
     # enumerate_maxlen's search, which `enum` prints from with no
-    # records: its checks and the sorted (polynomial bits, reversed
-    # mask, mask) hits of the scan against the primitive set.
+    # records: its checks and the scan's hits against the primitive
+    # set, sorted. Since a vector and its mirror share their
+    # polynomial, the sorted (polynomial bits, mask) pairs are the
+    # (polynomial, text value) pairs of the output, in order.
     _check_n(n, force)
     if jobs < 1:
         raise ValueError("jobs must be >= 1")
@@ -162,10 +166,11 @@ def enumerate_maxlen(n: int, *, jobs: int = 1, force: bool = False) -> list[MaxL
     sorted by (polynomial binary value, rule-vector text value).
     """
     entries = []
-    # A polynomial's vectors are adjacent once sorted; they share one Gf2Poly.
+    # A polynomial's vectors are adjacent once sorted; they share one
+    # Gf2Poly. Each hit's mask t is a text value: the vector is rev t.
     for bits, group in groupby(_maxlen_hits(n, jobs, force), itemgetter(0)):
         p = Gf2Poly(bits)
-        entries += [MaxLenEntry(n, RuleVector.from_mask(mask, n), p) for _, _, mask in group]
+        entries += [MaxLenEntry(n, RuleVector.from_mask(_reverse_bits(t, n), n), p) for _, t in group]
     return entries
 
 
@@ -180,7 +185,7 @@ def rule_vectors_for(p: Gf2Poly, *, force: bool = False) -> list[RuleVector]:
     n = p.degree
     _check_n(n, force)
     hits = _scan(n, frozenset((p.bits,)))
-    return [RuleVector.from_mask(mask, n) for _, _, mask in sorted(hits)]
+    return [RuleVector.from_mask(_reverse_bits(t, n), n) for _, t in sorted(hits)]
 
 
 def _jacobsthal(k: int) -> int:

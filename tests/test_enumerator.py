@@ -55,6 +55,22 @@ def scan_per_diagonal(n, targets):
     return hits, (even_weight, zero_constant, missed)
 
 
+def maxlen_by_own_text(n):
+    # The oracle for the listing: an order test on every diagonal, each
+    # vector written by its own str, so that no text comes from another
+    # vector's mask, as (polynomial, text) pairs sorted by polynomial
+    # value, then text.
+    f = factorize_mersenne(n)
+    want = []
+    for mask in range(1 << n):
+        rv = RuleVector.from_mask(mask, n)
+        p = characteristic_polynomial(rv)
+        if is_primitive(p, f):
+            want.append((format_poly(p), str(rv)))
+    want.sort(key=lambda t: (int(t[0], 2), t[1]))
+    return want
+
+
 def cascade_by_transfer_matrix(n):
     # (even weight, zero constant) by the transfer-matrix method: count
     # the diagonals in each of the 16 states (p_{k-1}(0), p_{k-1}(1),
@@ -120,16 +136,7 @@ class TestEnumerateMaxlen:
 
     @pytest.mark.parametrize("n", range(2, 13))
     def test_matches_per_diagonal_order_test(self, n):
-        # The scan this one replaced: an order test on every diagonal.
-        f = factorize_mersenne(n)
-        want = []
-        for mask in range(1 << n):
-            rv = RuleVector.from_mask(mask, n)
-            p = characteristic_polynomial(rv)
-            if is_primitive(p, f):
-                want.append((format_poly(p), str(rv)))
-        want.sort(key=lambda t: (int(t[0], 2), t[1]))
-        assert entry_strings(enumerate_maxlen(n)) == want
+        assert entry_strings(enumerate_maxlen(n)) == maxlen_by_own_text(n)
 
     def test_import_leaves_process_pool_unloaded(self):
         # No scan starts a process pool, so nothing imports its machinery.
@@ -214,6 +221,15 @@ class TestRuleVectorsFor:
             hits.sort(key=lambda hit: _reverse_bits(hit[0], n))
             assert rule_vectors_for(p) == [RuleVector.from_mask(mask, n) for mask, _ in hits]
 
+    @pytest.mark.parametrize("n", range(2, 11))
+    def test_matches_per_vector_text(self, n):
+        # Every primitive polynomial of degree n, against the vectors
+        # that each write their own text, in order.
+        want = maxlen_by_own_text(n)
+        for p in enumerate_primitive(n):
+            poly = format_poly(p)
+            assert [str(rv) for rv in rule_vectors_for(p)] == [text for q, text in want if q == poly]
+
 
 class TestFilterStats:
     def test_totals_sum(self):
@@ -270,15 +286,13 @@ class TestCharpolyLanes:
         # steps cells 8..n-1, and at n = 17 and 18 it walks more cells
         # than the lanes set. The primitive set, and every odd-weight
         # polynomial, which every lane that passes the cascade hits, so
-        # every lane read back is checked. Each hit carries its mask
-        # reversed, the sort key. The oracle's counts for the primitive
-        # set are filter_stats's closed forms.
+        # every lane read back is checked. The oracle's counts for the
+        # primitive set are filter_stats's closed forms.
         primitive = _primitive_set(n)
         for targets in (primitive, odd_weight(n)):
             hits = _scan(n, targets)
-            assert all(key == _reverse_bits(mask, n) for _, key, mask in hits)
             want, (even_weight, zero_constant, missed) = scan_per_diagonal(n, targets)
-            assert sorted((mask, bits) for bits, _, mask in hits) == want
+            assert sorted((mask, bits) for bits, mask in hits) == want
             if targets is primitive:
                 assert filter_stats(n) == FilterStats(n, 1 << n, even_weight, zero_constant, missed, len(want))
 
@@ -289,9 +303,8 @@ class TestCharpolyLanes:
         # each once and with its own polynomial. At n = 15 a polynomial
         # fills its 16-bit slot; n = 16 is the first with 32-bit slots.
         hits = _scan(n, frozenset(range(1 << n, 1 << (n + 1))))
-        assert sorted(mask for _, _, mask in hits) == list(range(1 << n))
-        assert all(bits == _charpoly_bits(mask, n) for bits, _, mask in hits)
-        assert all(key == _reverse_bits(mask, n) for _, key, mask in hits)
+        assert sorted(mask for _, mask in hits) == list(range(1 << n))
+        assert all(bits == _charpoly_bits(mask, n) for bits, mask in hits)
 
     @pytest.mark.parametrize("n", (8, 9, 12, 13))
     def test_hits_closed_under_reversal(self, n):
@@ -300,7 +313,7 @@ class TestCharpolyLanes:
         # Palindromes pass the cascade at even n only (none of the
         # 2^ceil(n/2) does at odd n <= 13), so even n covers their lanes.
         hits = _scan(n, odd_weight(n))
-        masks = [mask for _, _, mask in hits]
+        masks = [mask for _, mask in hits]
         assert len(set(masks)) == len(masks)
         assert {_reverse_bits(mask, n) for mask in masks} == set(masks)
         assert any(_reverse_bits(mask, n) == mask for mask in masks) == (n % 2 == 0)

@@ -75,13 +75,40 @@ def test_lane_start_mutants_are_killed():
 
 
 def test_enum_text_mutants_are_killed():
-    # enum prints each vector from its reversed mask, which is also the
-    # sort key; the output pins must catch the wrong mask or a sort key
-    # that drops the high cells.
-    _assert_killed(["enum-text-from-mask", "sort-key-drops-high-cells"])
+    # Each scan hit's mask is the text value of a vector of its
+    # polynomial: the lane oracle must catch a hit that drops its high
+    # cells, the per-vector text oracle a record built from the text
+    # value unreversed, and the output pins a line that drops its
+    # leading zeros.
+    _assert_killed(["scan-hit-drops-high-cells", "record-text-unreversed", "enum-text-unpadded"])
 
 
 def test_listing_mutants_are_killed():
     # The listing's decimation indices and its complexity check; the
     # lane-by-lane oracle tests must catch either.
     _assert_killed(["decimation-index-added", "massey-lanes-without-complexity-check"])
+
+
+def test_oracles_agree_to_n8():
+    proc = subprocess.run(
+        [sys.executable, os.path.join(_REPO, "tools", "oracles.py"), "--max-n", "8"],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    rows = [line.split("\t") for line in proc.stdout.splitlines()]
+    assert [(pair, int(n), status) for pair, n, status, _ in rows] == [
+        (pair, n, "ok") for n in range(2, 9) for pair in ("scan", "enum")
+    ]
+    assert all(len(digest) == 64 for *_, digest in rows)
+
+
+def test_oracles_report_a_mismatch(monkeypatch, capsys):
+    # A scan that drops its last hit must fail the scan pair only.
+    spec = importlib.util.spec_from_file_location("_oracles_for_tests", os.path.join(_REPO, "tools", "oracles.py"))
+    oracles = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(oracles)
+    scan = oracles._scan
+    monkeypatch.setattr(oracles, "_scan", lambda n, targets: scan(n, targets)[:-1])
+    assert oracles.main(["--max-n", "3"]) == 1
+    rows = [line.split("\t")[:3] for line in capsys.readouterr().out.splitlines()]
+    assert rows == [["scan", "2", "MISMATCH"], ["enum", "2", "ok"], ["scan", "3", "MISMATCH"], ["enum", "3", "ok"]]

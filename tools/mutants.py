@@ -122,9 +122,9 @@ MUTANTS = [
         "tests/test_enumerator.py",
     ),
     (
-        "sort-key-drops-high-cells", "src/maxca/enumerator.py",
-        "reversed_high | reversed_lanes[lane]",
-        "reversed_lanes[lane]",
+        "scan-hit-drops-high-cells", "src/maxca/enumerator.py",
+        "(polys[lane], high | lane)",
+        "(polys[lane], lane)",
         "tests/test_enumerator.py",
     ),
     (
@@ -140,9 +140,15 @@ MUTANTS = [
         "tests/test_enumerator.py",
     ),
     (
-        "enum-text-from-mask", "src/maxca/cli.py",
-        "        for _, rev, _ in group\n",
-        "        for _, _, rev in group\n",
+        "record-text-unreversed", "src/maxca/enumerator.py",
+        "RuleVector.from_mask(_reverse_bits(t, n), n), p)",
+        "RuleVector.from_mask(t, n), p)",
+        "tests/test_enumerator.py",
+    ),
+    (
+        "enum-text-unpadded", "src/maxca/cli.py",
+        'f"{{:b}} {{:0{n}b}}".format',
+        'f"{{:b}} {{:b}}".format',
         "tests/test_cli.py",
     ),
     (
