@@ -7,12 +7,13 @@ shifts/XORs and one AND:
 
 which is exactly T*s over GF(2) for the tridiagonal transition matrix
 with null boundaries. `cycle_length_from` steps it up to 2^n times and
-stays the raw-simulation oracle. The cycle measurement behind `maxca
-cycle` and the table audit steps it only n times above n = 8: since
-p(T) = 0 for p = charpoly, T^t s is a combination of s, Ts, ...,
-T^(n-1)s given by x^t mod p, so each trial period costs O(log t)
-products mod p (jump ahead), and the period search that also finds
-the order of x, `primitivity._period`, picks the trials. Only the jump
+stays the raw-simulation oracle. The table audit measures cycles by
+jump-ahead at every n, checked against raw simulation on every row in
+the tests, and `maxca cycle` does so above n = 8. The jump steps only
+n times: since p(T) = 0 for p = charpoly, T^t s is a combination of
+s, Ts, ..., T^(n-1)s given by x^t mod p, so each trial period costs
+O(log t) products mod p, and the period search that also finds the
+order of x, `primitivity._period`, picks the trials. Only the jump
 imports `primitivity`, so a command that steps (`cycle` up to n = 8,
 `stream`) never compiles it.
 
@@ -29,7 +30,7 @@ from __future__ import annotations
 from collections.abc import Iterable, Iterator
 
 from .charpoly import RuleVector, _charpoly_bits
-from .gf2poly import _BLOCK_BITS, _first_bits, _format_lsb, _parse_lsb, _pow_x_mod, _Record, _recurrence_blocks
+from .gf2poly import _first_bits, _format_lsb, _parse_lsb, _pow_x_mod, _Record, _recurrence_blocks
 
 __all__ = [
     "BRUTE_FORCE_CAP",
@@ -45,13 +46,6 @@ __all__ = [
 # Raw cycle simulation iterates up to 2^n steps; sub-second to here.
 # Jump-ahead costs milliseconds, but keeps the same cap and override.
 BRUTE_FORCE_CAP = 24
-
-# Up to this n, stepping through at most 2^n states costs less than the
-# jump's n steps, charpoly and x^t mod p, even for a maximal cycle, so
-# `maxca cycle` and the table audit simulate there and jump above. The
-# callers choose, so `_cycle_length_jump` stays a pure jump that the
-# tests compare with simulation at every n.
-_STEP_MAX_N = 8
 
 
 class CaState(_Record):
@@ -207,7 +201,7 @@ def stream_bits(rv: RuleVector, seed: CaState, count: int, tap: int = 0) -> Iter
 
 def _stream_chunks(rv: RuleVector, seed: CaState, count: int, tap: int = 0) -> Iterator[tuple[int, int]]:
     """The bits of `stream_bits` in order, as (value, nbits) chunks with
-    bit i of value = i-th bit of the chunk and nbits <= _BLOCK_BITS.
+    bit i of value = i-th bit of the chunk and nbits <= gf2poly._BLOCK_BITS.
 
     Arguments are validated eagerly, with the errors of `stream_bits`.
     Working memory is at most 2n blocks, whatever the count.

@@ -37,7 +37,7 @@ _OWNERS = {
     for module, names in (
         ("charpoly", "RuleVector characteristic_polynomial"),
         ("primitivity", "_order_of_x enumerate_primitive factorize_mersenne is_irreducible is_primitive order_of_x"),
-        ("automaton", "_STEP_MAX_N CaState _cycle_length_jump _stream_chunks cycle_length_from pack_bits stream_bits unit_seed"),
+        ("automaton", "CaState _cycle_length_jump _stream_chunks cycle_length_from pack_bits stream_bits unit_seed"),
         ("enumerator", "_maxlen_hits enumerate_maxlen"),
         ("tables", "verify_all"),
     )
@@ -116,8 +116,17 @@ def _cmd_primitive(args) -> int:
     return 0
 
 
+# Up to this n `cycle` steps the automaton (at most 2^n states), and
+# above it jumps ahead. The jump alone would serve every n, as it does
+# for the table audit, but stepping spares a small `cycle` from
+# compiling `primitivity` (1–2 ms of a ≈60 ms child), and
+# perfbench/test_perfbench.py counts cycle steps through this module's
+# `cycle_length_from`.
+_STEP_MAX_N = 8
+
+
 def _cmd_cycle(args) -> int:
-    RuleVector, CaState, unit_seed, _STEP_MAX_N = _bound("RuleVector", "CaState", "unit_seed", "_STEP_MAX_N")
+    RuleVector, CaState, unit_seed = _bound("RuleVector", "CaState", "unit_seed")
     rv = RuleVector(args.rules)
     seed = CaState.from_string(args.seed) if args.seed else unit_seed(rv.n)
     [measure] = _bound("cycle_length_from" if rv.n <= _STEP_MAX_N else "_cycle_length_jump")

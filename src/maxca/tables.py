@@ -4,17 +4,18 @@ The dataset ships as a plain text file (one `n poly rv` row per line)
 so it stays auditable and diffable; nothing is hardcoded in source.
 Every row can be re-verified from scratch: recompute the characteristic
 polynomial, test primitivity, and measure the actual cycle length of
-the running automaton (stepped for n <= 8; above, n steps and then a
-jump ahead by powers of x modulo the characteristic polynomial). A
-failing row is a finding about the data, reported with full
-diagnostics and never silently dropped or edited.
+the running automaton by jump-ahead at every n (n steps, then powers of
+x modulo the characteristic polynomial), checked against raw simulation
+on every row in the tests. A failing row is a finding about the data,
+reported with full diagnostics and never silently dropped or edited.
 """
 
 from __future__ import annotations
 
 import os
 
-from .automaton import _STEP_MAX_N, _cycle_length_jump, cycle_length_from, unit_seed
+# cycle_length_from is uncalled; perfbench/layertrace.py wraps it here (ROADMAP items 18, 10).
+from .automaton import _cycle_length_jump, cycle_length_from, unit_seed
 from .charpoly import RuleVector, characteristic_polynomial
 from .gf2poly import _Record, format_poly, parse_poly
 from .primitivity import is_primitive
@@ -132,12 +133,11 @@ def load_rows(n: int | None = None) -> list[TableRow]:
 def verify_row(row: TableRow) -> RowVerdict:
     """Re-derive one row: characteristic polynomial, primitivity of the
     printed polynomial, and the cycle length from the unit seed, measured
-    on the automaton: by raw simulation up to n = 8, by jump-ahead above
-    (equal to raw simulation, which the tests check on every bundled
-    row). Either print orientation of the rule vector matches: reversal
-    conjugates T, so mirror images share the characteristic polynomial."""
+    on the automaton by jump-ahead at every n, checked against raw
+    simulation on every row in the tests. Either print orientation of
+    the rule vector matches: reversal conjugates T, so mirror images
+    share the characteristic polynomial."""
     rv = RuleVector(row.rv_str)
-    measure = cycle_length_from if row.n <= _STEP_MAX_N else _cycle_length_jump
     computed = characteristic_polynomial(rv)
     printed = parse_poly(row.poly_str)
     return RowVerdict(
@@ -145,7 +145,7 @@ def verify_row(row: TableRow) -> RowVerdict:
         format_poly(computed),
         computed == printed,
         is_primitive(printed),
-        measure(rv, unit_seed(row.n)),
+        _cycle_length_jump(rv, unit_seed(row.n)),
     )
 
 

@@ -9,7 +9,6 @@ from hypothesis import given, settings, strategies as st
 
 import maxca.automaton
 from maxca.automaton import (
-    _BLOCK_BITS,
     BRUTE_FORCE_CAP,
     CaState,
     _cycle_length_jump,
@@ -22,6 +21,7 @@ from maxca.automaton import (
     unit_seed,
 )
 from maxca.charpoly import RuleVector
+from maxca.gf2poly import _BLOCK_BITS
 from maxca.primitivity import MAX_FACTOR_N
 
 

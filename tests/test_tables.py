@@ -78,14 +78,14 @@ class TestVerifyRow:
             assert _cycle_length_jump(rv, seed) == want
             assert verify_row(row).cycle_length == want
 
-    def test_steps_up_to_n8_and_jumps_above(self, monkeypatch):
+    def test_jumps_at_every_n(self, monkeypatch):
         calls = []
         for name in ("cycle_length_from", "_cycle_length_jump"):
             fn = getattr(tables, name)
             monkeypatch.setattr(tables, name, lambda rv, seed, fn=fn, name=name: calls.append((rv.n, name)) or fn(rv, seed))
-        for n in (8, 9):
-            assert verify_row(load_rows(n)[0]).passed
-        assert calls == [(8, "cycle_length_from"), (9, "_cycle_length_jump")]
+        for n in range(2, 13):
+            verify_row(load_rows(n)[0])
+        assert calls == [(n, "_cycle_length_jump") for n in range(2, 13)]
 
     def test_worked_example_passes(self):
         v = verify_row(TableRow(n=8, poly_str="100011101", rv_str="00000110"))

@@ -97,18 +97,26 @@ def test_oracles_agree_to_n8():
     assert proc.returncode == 0, proc.stdout + proc.stderr
     rows = [line.split("\t") for line in proc.stdout.splitlines()]
     assert [(pair, int(n), status) for pair, n, status, _ in rows] == [
-        (pair, n, "ok") for n in range(2, 9) for pair in ("scan", "enum")
+        (pair, n, "ok") for n in range(2, 9) for pair in ("scan", "enum", "jump")
     ]
     assert all(len(digest) == 64 for *_, digest in rows)
 
 
 def test_oracles_report_a_mismatch(monkeypatch, capsys):
-    # A scan that drops its last hit must fail the scan pair only.
+    # A scan that drops its last hit must fail the scan pair only, and a
+    # jump off by one the jump pair only.
     spec = importlib.util.spec_from_file_location("_oracles_for_tests", os.path.join(_REPO, "tools", "oracles.py"))
     oracles = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(oracles)
-    scan = oracles._scan
-    monkeypatch.setattr(oracles, "_scan", lambda n, targets: scan(n, targets)[:-1])
-    assert oracles.main(["--max-n", "3"]) == 1
-    rows = [line.split("\t")[:3] for line in capsys.readouterr().out.splitlines()]
-    assert rows == [["scan", "2", "MISMATCH"], ["enum", "2", "ok"], ["scan", "3", "MISMATCH"], ["enum", "3", "ok"]]
+    scan, jump = oracles._scan, oracles._cycle_length_jump
+    for name, broken, bad in (
+        ("_scan", lambda n, targets: scan(n, targets)[:-1], "scan"),
+        ("_cycle_length_jump", lambda rv, seed: (t := jump(rv, seed)) and t + 1, "jump"),
+    ):
+        with monkeypatch.context() as patch:
+            patch.setattr(oracles, name, broken)
+            assert oracles.main(["--max-n", "3"]) == 1
+        rows = [line.split("\t")[:3] for line in capsys.readouterr().out.splitlines()]
+        assert rows == [
+            [pair, str(n), "MISMATCH" if pair == bad else "ok"] for n in (2, 3) for pair in ("scan", "enum", "jump")
+        ]

@@ -92,6 +92,12 @@ MUTANTS = [
         "tests/test_primitivity.py",
     ),
     (
+        "period-drops-repeated-factor-power", "src/maxca/primitivity.py",
+        "        factors[2] = (f.n - 1).bit_length()\n",
+        "        factors[2] = 0\n",
+        "tests/test_automaton.py",
+    ),
+    (
         "m-sequence-one-term-short", "src/maxca/lanes.py",
         "[1] + [0] * (n - 1)), (1 << n) - 1):",
         "[1] + [0] * (n - 1)), (1 << n) - 2):",

@@ -15,10 +15,16 @@ side of what was compared, tab-separated. The pairs:
           format, against the primitive hits of the per-diagonal scan,
           each written as its own vector's text beside its polynomial,
           sorted: no text comes from another vector's mask.
+    jump  automaton._cycle_length_jump against raw simulation
+          (cycle_length_from), as the simulated lengths: every rule
+          vector with every nonzero seed to n = 7, every rule vector
+          with the unit seed and three seeded random seeds at n = 8,
+          and 100 seeded random (rule vector, seed) pairs at each n
+          from 9, so singular T and reducible charpolys occur.
 
 It runs the maxca in the src/ next to it, `enum` as a child process. It
 exits 1 after the last line if any pair mismatched, 2 on a usage error.
-The full run takes about 20 s on one CPU.
+The full run takes about 40 s on one CPU.
 """
 
 from __future__ import annotations
@@ -26,6 +32,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import os
+import random
 import subprocess
 import sys
 
@@ -33,6 +40,7 @@ HERE = os.path.dirname(os.path.abspath(__file__))
 SRC = os.path.join(os.path.dirname(HERE), "src")
 sys.path.insert(0, SRC)
 
+from maxca.automaton import CaState, _cycle_length_jump, cycle_length_from  # noqa: E402
 from maxca.charpoly import RuleVector, _charpoly_bits  # noqa: E402
 from maxca.enumerator import _primitive_set, _scan  # noqa: E402
 from maxca.gf2poly import Gf2Poly, format_poly  # noqa: E402
@@ -40,6 +48,8 @@ from maxca.gf2poly import Gf2Poly, format_poly  # noqa: E402
 MAX_N = 20
 # Every polynomial of degree n is a target set up to this n.
 _EVERY_MAX_N = 16
+# The jump sees every (rule vector, seed) pair up to this n.
+_JUMP_EVERY_MAX_N = 7
 
 
 def per_diagonal(n: int, targets: frozenset[int]) -> list[tuple[int, int]]:
@@ -77,6 +87,30 @@ def check_enum(n: int, hits: list[tuple[int, int]]) -> tuple[bool, str]:
     return same, want
 
 
+def jump_cases(n: int) -> list[tuple[int, int]]:
+    """The (mask, seed bits) pairs that the jump pair checks at n; the
+    random ones are seeded with n."""
+    if n <= _JUMP_EVERY_MAX_N:
+        return [(mask, bits) for mask in range(1 << n) for bits in range(1, 1 << n)]
+    rng = random.Random(n)
+    if n == _JUMP_EVERY_MAX_N + 1:
+        return [(mask, bits) for mask in range(1 << n) for bits in (1, *(rng.randrange(1, 1 << n) for _ in range(3)))]
+    return [(rng.randrange(1 << n), rng.randrange(1, 1 << n)) for _ in range(100)]
+
+
+def check_jump(n: int) -> tuple[bool, list]:
+    """Whether the jump measures what raw simulation does on every case,
+    and the simulated lengths (None where the seed never recurs)."""
+    same = True
+    lengths = []
+    for mask, bits in jump_cases(n):
+        rv, seed = RuleVector.from_mask(mask, n), CaState(bits, n)
+        t = cycle_length_from(rv, seed)
+        same &= _cycle_length_jump(rv, seed) == t
+        lengths.append(t)
+    return same, lengths
+
+
 def main(argv: list[str]) -> int:
     parser = argparse.ArgumentParser(prog="oracles.py", description="Check fast paths against their oracles.")
     parser.add_argument("--max-n", type=int, default=MAX_N, help=f"largest n, 2..{MAX_N} (default {MAX_N})")
@@ -87,7 +121,8 @@ def main(argv: list[str]) -> int:
     for n in range(2, max_n + 1):
         scan_ok, hits = check_scan(n, _primitive_set(n))
         enum_ok, text = check_enum(n, hits[0])
-        for pair, same, compared in (("scan", scan_ok, repr(hits)), ("enum", enum_ok, text)):
+        jump_ok, lengths = check_jump(n)
+        for pair, same, compared in (("scan", scan_ok, repr(hits)), ("enum", enum_ok, text), ("jump", jump_ok, repr(lengths))):
             digest = hashlib.sha256(compared.encode()).hexdigest()
             print(f"{pair}\t{n}\t{'ok' if same else 'MISMATCH'}\t{digest}", flush=True)
             failed += not same
