@@ -53,43 +53,38 @@ class DegreeOverflowError(ValueError):
 class _Record:
     # Immutable value whose fields are the __slots__ of its class, in
     # order. The constructor takes them positionally or by keyword, as a
-    # frozen dataclass's does, and raises TypeError unless each field
-    # gets exactly one value. A subclass that validates (CaState,
-    # TableRow) does so in its own __init__, then calls this one; Gf2Poly
-    # and RuleVector, made on hot paths, set their slots with
-    # object.__setattr__ directly. Equality (same class, same fields)
-    # and hash go by the field values, read by one attrgetter per class
-    # (a lone field reads as itself, not a tuple), since Gf2Poly == ONE
-    # runs once per order-test trial. Repr goes by the fields in order,
-    # and pickling and copying rebuild through the constructor, so a
-    # subclass whose constructor takes other arguments overrides
-    # __reduce__.
+    # frozen dataclass's does. One positional value per field is stored
+    # as it comes; any other call goes through _bind, a function made
+    # once per class whose parameters are the slots, so Python binds the
+    # arguments and raises its own TypeError unless each field gets
+    # exactly one value. Only the slot names, which Python has checked
+    # are identifiers, enter its source; the class's __qualname__ is set
+    # on it afterwards, so the message names the record, as in
+    # "FilterStats() got an unexpected keyword argument 'bogus'". A
+    # subclass that validates (CaState, TableRow) does so in its own
+    # __init__, then calls this one; Gf2Poly and RuleVector, made on hot
+    # paths, set their slots with object.__setattr__ directly. Equality
+    # (same class, same fields) and hash go by the field values, read by
+    # one attrgetter per class (a lone field reads as itself, not a
+    # tuple), since Gf2Poly == ONE runs once per order-test trial. Repr
+    # goes by the fields in order, and pickling and copying rebuild
+    # through the constructor, so a subclass whose constructor takes
+    # other arguments overrides __reduce__.
 
     __slots__ = ()
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
         cls._values = attrgetter(*cls.__slots__)
+        fields = ", ".join(cls.__slots__)
+        exec(f"def bind({fields}): return [{fields}]", namespace := {})
+        namespace["bind"].__qualname__ = cls.__qualname__
+        cls._bind = staticmethod(namespace["bind"])
 
     def __init__(self, *args, **kwargs):
-        names = self.__slots__
-        if kwargs or len(args) != len(names):
-            # Not one positional value per field: bind by name.
-            cls = type(self).__name__
-            if len(args) > len(names):
-                raise TypeError(f"{cls} takes {len(names)} fields, got {len(args)} positional")
-            values = dict(zip(names, args))
-            for name, value in kwargs.items():
-                if name not in names:
-                    raise TypeError(f"{cls} has no field {name!r}")
-                if name in values:
-                    raise TypeError(f"{cls} got field {name!r} twice")
-                values[name] = value
-            missing = [name for name in names if name not in values]
-            if missing:
-                raise TypeError(f"{cls} is missing field(s) {', '.join(missing)}")
-            args = [values[name] for name in names]
-        for name, value in zip(names, args):
+        if kwargs or len(args) != len(self.__slots__):
+            args = self._bind(*args, **kwargs)
+        for name, value in zip(self.__slots__, args):
             object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):

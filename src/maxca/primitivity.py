@@ -107,11 +107,10 @@ def is_irreducible(p: Gf2Poly) -> bool:
     """True iff p has no nontrivial factor over GF(2).
 
     Standard criterion: x^(2^n) = x (mod p), and for every prime q
-    dividing n, gcd(x^(2^(n/q)) - x, p) = 1.
+    dividing n, gcd(x^(2^(n/q)) - x, p) = 1. At degree 1 there is no
+    such q, and x^2 = x modulo x and modulo x + 1.
     """
     n = _degree(p)
-    if n == 1:
-        return True
     if pow_x_mod(1 << n, p) != X % p:
         return False
     for q, _ in _factorize(n):

@@ -114,7 +114,7 @@ def test_each_field_needs_exactly_one_value(value):
         lambda: cls(*fields[:1], **dict(zip(names, fields))),  # keyword repeats a positional
     ]
     for call in calls:
-        with pytest.raises(TypeError):
+        with pytest.raises(TypeError, match=rf"^{cls.__name__}\b"):
             call()
 
 

@@ -32,6 +32,12 @@ _COPIED = ("src", "tests", "perfbench")
 # (name, file, old text, new text, test module that must fail).
 MUTANTS = [
     (
+        "record-binder-skipped-with-keywords", "src/maxca/gf2poly.py",
+        "if kwargs or len(args) != len(self.__slots__):",
+        "if len(args) != len(self.__slots__):",
+        "tests/test_records.py",
+    ),
+    (
         "square-without-spread", "src/maxca/gf2poly.py",
         'r = _mod(int(format(r, "b"), 4), m)',
         'r = _mod(int(format(r, "b"), 2), m)',

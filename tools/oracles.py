@@ -3,9 +3,10 @@ oracle is affordable.
 
     python3 tools/oracles.py [--max-n N]
 
-Runs each pair for n = 2..20, or 2..N, and prints one line per (pair,
-n): the pair, n, `ok` or `MISMATCH`, and the sha256 of the oracle's
-side of what was compared, tab-separated. The pairs:
+Runs each pair for n = 2..20, or 2..N, the listing pair to n = 18, and
+prints one line per (pair, n): the pair, n, `ok` or `MISMATCH`, and the
+sha256 of the oracle's side of what was compared, tab-separated. The
+pairs:
 
     scan  enumerator._scan against one charpoly per diagonal, as sorted
           (mask, polynomial bits) hits, with the primitive polynomials
@@ -21,6 +22,9 @@ side of what was compared, tab-separated. The pairs:
           with the unit seed and three seeded random seeds at n = 8,
           and 100 seeded random (rule vector, seed) pairs at each n
           from 9, so singular T and reducible charpolys occur.
+    listing  primitivity.enumerate_primitive against the order test
+             (is_primitive) on every odd-weight polynomial of degree n,
+             as the ascending polynomial bits that pass it, to n = 18.
 
 It runs the maxca in the src/ next to it, `enum` as a child process. It
 exits 1 after the last line if any pair mismatched, 2 on a usage error.
@@ -44,12 +48,15 @@ from maxca.automaton import CaState, _cycle_length_jump, cycle_length_from  # no
 from maxca.charpoly import RuleVector, _charpoly_bits  # noqa: E402
 from maxca.enumerator import _primitive_set, _scan  # noqa: E402
 from maxca.gf2poly import Gf2Poly, format_poly  # noqa: E402
+from maxca.primitivity import enumerate_primitive, is_primitive  # noqa: E402
 
 MAX_N = 20
 # Every polynomial of degree n is a target set up to this n.
 _EVERY_MAX_N = 16
 # The jump sees every (rule vector, seed) pair up to this n.
 _JUMP_EVERY_MAX_N = 7
+# The listing is checked against the order-test filter up to this n.
+_LISTING_MAX_N = 18
 
 
 def per_diagonal(n: int, targets: frozenset[int]) -> list[tuple[int, int]]:
@@ -111,6 +118,13 @@ def check_jump(n: int) -> tuple[bool, list]:
     return same, lengths
 
 
+def check_listing(n: int) -> tuple[bool, list[int]]:
+    """Whether enumerate_primitive lists exactly the odd-weight
+    polynomials of degree n that pass the order test, and their bits."""
+    want = [bits for bits in range(1 << n, 1 << (n + 1)) if bits.bit_count() % 2 and is_primitive(Gf2Poly(bits))]
+    return [p.bits for p in enumerate_primitive(n)] == want, want
+
+
 def main(argv: list[str]) -> int:
     parser = argparse.ArgumentParser(prog="oracles.py", description="Check fast paths against their oracles.")
     parser.add_argument("--max-n", type=int, default=MAX_N, help=f"largest n, 2..{MAX_N} (default {MAX_N})")
@@ -122,7 +136,11 @@ def main(argv: list[str]) -> int:
         scan_ok, hits = check_scan(n, _primitive_set(n))
         enum_ok, text = check_enum(n, hits[0])
         jump_ok, lengths = check_jump(n)
-        for pair, same, compared in (("scan", scan_ok, repr(hits)), ("enum", enum_ok, text), ("jump", jump_ok, repr(lengths))):
+        results = [("scan", scan_ok, repr(hits)), ("enum", enum_ok, text), ("jump", jump_ok, repr(lengths))]
+        if n <= _LISTING_MAX_N:
+            listing_ok, listed = check_listing(n)
+            results.append(("listing", listing_ok, repr(listed)))
+        for pair, same, compared in results:
             digest = hashlib.sha256(compared.encode()).hexdigest()
             print(f"{pair}\t{n}\t{'ok' if same else 'MISMATCH'}\t{digest}", flush=True)
             failed += not same
