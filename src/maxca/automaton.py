@@ -61,7 +61,8 @@ class CaState(_Record):
             raise ValueError("state needs at least one cell")
         if bits < 0 or bits >> n:
             raise ValueError("state has bits beyond cell count")
-        super().__init__(bits, n)
+        object.__setattr__(self, "bits", bits)
+        object.__setattr__(self, "n", n)
 
     @classmethod
     def from_string(cls, s: str) -> "CaState":

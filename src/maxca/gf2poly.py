@@ -52,40 +52,34 @@ class DegreeOverflowError(ValueError):
 
 class _Record:
     # Immutable value whose fields are the __slots__ of its class, in
-    # order. The constructor takes them positionally or by keyword, as a
-    # frozen dataclass's does. One positional value per field is stored
-    # as it comes; any other call goes through _bind, a function made
-    # once per class whose parameters are the slots, so Python binds the
-    # arguments and raises its own TypeError unless each field gets
-    # exactly one value. Only the slot names, which Python has checked
-    # are identifiers, enter its source; the class's __qualname__ is set
-    # on it afterwards, so the message names the record, as in
-    # "FilterStats() got an unexpected keyword argument 'bogus'". A
-    # subclass that validates (CaState, TableRow) does so in its own
-    # __init__, then calls this one; Gf2Poly and RuleVector, made on hot
-    # paths, set their slots with object.__setattr__ directly. Equality
-    # (same class, same fields) and hash go by the field values, read by
-    # one attrgetter per class (a lone field reads as itself, not a
-    # tuple), since Gf2Poly == ONE runs once per order-test trial. Repr
-    # goes by the fields in order, and pickling and copying rebuild
-    # through the constructor, so a subclass whose constructor takes
-    # other arguments overrides __reduce__.
+    # order. One rule builds every record: a class whose own body has no
+    # __init__ gets one made here, once, with exec, as collections.
+    # namedtuple and dataclasses make theirs: `__init__(self, <slots>)`
+    # storing each field with object.__setattr__. Only the slot names,
+    # which Python has checked are identifiers, enter its source, so the
+    # fields bind positionally or by keyword and Python raises its own
+    # TypeError unless each gets exactly one value; the method's
+    # __qualname__ is set to `<Class>.__init__`, so the message names the
+    # record, as in "FilterStats.__init__() got an unexpected keyword
+    # argument 'bogus'". A record with logic (Gf2Poly, RuleVector,
+    # CaState, TableRow) writes its own __init__, validates, and stores
+    # its fields the same way. Equality (same class, same fields) and
+    # hash go by the field values, read by one attrgetter per class (a
+    # lone field reads as itself, not a tuple), since Gf2Poly == ONE runs
+    # once per order-test trial. Repr goes by the fields in order, and
+    # pickling and copying rebuild through the constructor, so a subclass
+    # whose constructor takes other arguments overrides __reduce__.
 
     __slots__ = ()
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
         cls._values = attrgetter(*cls.__slots__)
-        fields = ", ".join(cls.__slots__)
-        exec(f"def bind({fields}): return [{fields}]", namespace := {})
-        namespace["bind"].__qualname__ = cls.__qualname__
-        cls._bind = staticmethod(namespace["bind"])
-
-    def __init__(self, *args, **kwargs):
-        if kwargs or len(args) != len(self.__slots__):
-            args = self._bind(*args, **kwargs)
-        for name, value in zip(self.__slots__, args):
-            object.__setattr__(self, name, value)
+        if "__init__" not in cls.__dict__:
+            stores = "".join(f"\n    object.__setattr__(self, {name!r}, {name})" for name in cls.__slots__)
+            exec(f"def __init__(self, {', '.join(cls.__slots__)}):{stores}", namespace := {"__name__": cls.__module__})
+            namespace["__init__"].__qualname__ = f"{cls.__qualname__}.__init__"
+            cls.__init__ = namespace["__init__"]
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")

@@ -46,7 +46,9 @@ class TableRow(_Record):
             raise ValueError(f"polynomial must have degree {n}: {poly_str!r}")
         if len(RuleVector(rv_str)) != n:
             raise ValueError(f"rule vector must have {n} cells: {rv_str!r}")
-        super().__init__(n, poly_str, rv_str)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "poly_str", poly_str)
+        object.__setattr__(self, "rv_str", rv_str)
 
 
 class RowVerdict(_Record):

@@ -82,11 +82,10 @@ def test_validation_keeps_its_messages():
         TableRow(n=3, poly_str="1011", rv_str="0110")
 
 
-# The records that take their fields straight through _Record's binder.
-BOUND = [
-    value for value, _ in VALUES
-    if type(value) in (MaxLenEntry, FilterStats, MersenneFactorization, RowVerdict, VerificationReport)
-]
+# The records whose constructor takes their fields: the five with the
+# __init__ that _Record makes, and CaState and TableRow, which validate
+# in their own. Gf2Poly and RuleVector are built from other arguments.
+BOUND = [value for value, _ in VALUES if type(value) not in (Gf2Poly, RuleVector)]
 BOUND_IDS = [type(value).__name__ for value in BOUND]
 
 

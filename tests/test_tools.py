@@ -89,6 +89,21 @@ def test_listing_mutants_are_killed():
     _assert_killed(["decimation-index-added", "massey-lanes-without-complexity-check"])
 
 
+def test_record_mutants_are_killed():
+    # A record with its own __init__ keeps it: a generated one in its
+    # place drops CaState's and TableRow's validation.
+    _assert_killed(["generated-init-replaces-own"])
+
+
+def _oracle_lines(max_n):
+    # The (pair, n) of each line of `oracles.py --max-n max_n`, in order:
+    # the stream pair runs to n = 64 whatever max_n.
+    return [
+        (pair, n) for n in range(2, 65)
+        for pair in ("scan", "enum", "jump", "listing", "filter", "stream") if n <= max_n or pair == "stream"
+    ]
+
+
 def test_oracles_agree_to_n8():
     proc = subprocess.run(
         [sys.executable, os.path.join(_REPO, "tools", "oracles.py"), "--max-n", "8"],
@@ -97,29 +112,37 @@ def test_oracles_agree_to_n8():
     assert proc.returncode == 0, proc.stdout + proc.stderr
     rows = [line.split("\t") for line in proc.stdout.splitlines()]
     assert [(pair, int(n), status) for pair, n, status, _ in rows] == [
-        (pair, n, "ok") for n in range(2, 9) for pair in ("scan", "enum", "jump", "listing")
+        (pair, n, "ok") for pair, n in _oracle_lines(8)
     ]
     assert all(len(digest) == 64 for *_, digest in rows)
 
 
 def test_oracles_report_a_mismatch(monkeypatch, capsys):
     # A scan that drops its last hit must fail the scan pair only, a
-    # jump off by one the jump pair only, and a listing that drops its
-    # first polynomial the listing pair only.
+    # jump off by one the jump pair only, a listing that drops its
+    # first polynomial the listing pair only, filter_stats that counts
+    # a survivor as not primitive the filter pair only, and a block
+    # stream that drops its last chunk the stream pair only.
     spec = importlib.util.spec_from_file_location("_oracles_for_tests", os.path.join(_REPO, "tools", "oracles.py"))
     oracles = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(oracles)
     scan, jump, listing = oracles._scan, oracles._cycle_length_jump, oracles.enumerate_primitive
+    stats, chunks, FilterStats = oracles.filter_stats, oracles._stream_chunks, oracles.FilterStats
     for name, broken, bad in (
         ("_scan", lambda n, targets: scan(n, targets)[:-1], "scan"),
         ("_cycle_length_jump", lambda rv, seed: (t := jump(rv, seed)) and t + 1, "jump"),
         ("enumerate_primitive", lambda n: listing(n)[1:], "listing"),
+        (
+            "filter_stats",
+            lambda n: (s := stats(n)) and FilterStats(
+                n, s.total, s.even_weight, s.zero_constant, s.not_primitive + 1, s.survivors - 1
+            ),
+            "filter",
+        ),
+        ("_stream_chunks", lambda *args: list(chunks(*args))[:-1], "stream"),
     ):
         with monkeypatch.context() as patch:
             patch.setattr(oracles, name, broken)
             assert oracles.main(["--max-n", "3"]) == 1
         rows = [line.split("\t")[:3] for line in capsys.readouterr().out.splitlines()]
-        assert rows == [
-            [pair, str(n), "MISMATCH" if pair == bad else "ok"]
-            for n in (2, 3) for pair in ("scan", "enum", "jump", "listing")
-        ]
+        assert rows == [[pair, str(n), "MISMATCH" if pair == bad else "ok"] for pair, n in _oracle_lines(3)]

@@ -3,10 +3,10 @@ oracle is affordable.
 
     python3 tools/oracles.py [--max-n N]
 
-Runs each pair for n = 2..20, or 2..N, the listing pair to n = 18, and
-prints one line per (pair, n): the pair, n, `ok` or `MISMATCH`, and the
-sha256 of the oracle's side of what was compared, tab-separated. The
-pairs:
+Runs each pair for n = 2..20, or 2..N, the listing pair to n = 18 and
+the stream pair, whatever N, to n = 64, and prints one line per
+(pair, n): the pair, n, `ok` or `MISMATCH`, and the sha256 of the
+oracle's side of what was compared, tab-separated. The pairs:
 
     scan  enumerator._scan against one charpoly per diagonal, as sorted
           (mask, polynomial bits) hits, with the primitive polynomials
@@ -25,6 +25,13 @@ pairs:
     listing  primitivity.enumerate_primitive against the order test
              (is_primitive) on every odd-weight polynomial of degree n,
              as the ascending polynomial bits that pass it, to n = 18.
+    filter  enumerator.filter_stats's closed forms against the counts
+            of the rejection cascade (even weight, zero constant, not
+            primitive, survivors) that the scan pair's per-diagonal
+            pass takes as it goes, as a FilterStats.
+    stream  automaton._stream_chunks against the per-step stream_bits,
+            as the first 4,096 bits, for one rule vector, seed and tap
+            seeded with n, to n = 64 (gf2poly.MAX_DEGREE).
 
 It runs the maxca in the src/ next to it, `enum` as a child process. It
 exits 1 after the last line if any pair mismatched, 2 on a usage error.
@@ -44,10 +51,10 @@ HERE = os.path.dirname(os.path.abspath(__file__))
 SRC = os.path.join(os.path.dirname(HERE), "src")
 sys.path.insert(0, SRC)
 
-from maxca.automaton import CaState, _cycle_length_jump, cycle_length_from  # noqa: E402
+from maxca.automaton import CaState, _cycle_length_jump, _stream_chunks, cycle_length_from, stream_bits  # noqa: E402
 from maxca.charpoly import RuleVector, _charpoly_bits  # noqa: E402
-from maxca.enumerator import _primitive_set, _scan  # noqa: E402
-from maxca.gf2poly import Gf2Poly, format_poly  # noqa: E402
+from maxca.enumerator import FilterStats, _primitive_set, _scan, filter_stats  # noqa: E402
+from maxca.gf2poly import MAX_DEGREE, Gf2Poly, format_poly  # noqa: E402
 from maxca.primitivity import enumerate_primitive, is_primitive  # noqa: E402
 
 MAX_N = 20
@@ -59,20 +66,37 @@ _JUMP_EVERY_MAX_N = 7
 _LISTING_MAX_N = 18
 
 
-def per_diagonal(n: int, targets: frozenset[int]) -> list[tuple[int, int]]:
-    """The (mask, polynomial bits) of each diagonal whose polynomial is
-    in targets, one charpoly per diagonal, in mask order."""
-    return [(mask, bits) for mask in range(1 << n) if (bits := _charpoly_bits(mask, n)) in targets]
+def per_diagonal(n: int, target_sets: list[frozenset[int]]) -> tuple[list[list[tuple[int, int]]], list[int]]:
+    """One charpoly per diagonal, in mask order: for each target set,
+    the (mask, polynomial bits) of the diagonals whose polynomial is in
+    it, and how many diagonals each step of the rejection cascade takes
+    (even weight, zero constant, not primitive, survivors), the first
+    target set being the primitive polynomials."""
+    hits = [[] for _ in target_sets]
+    cascade = [0, 0, 0, 0]
+    for mask in range(1 << n):
+        bits = _charpoly_bits(mask, n)
+        for found, targets in zip(hits, target_sets):
+            if bits in targets:
+                found.append((mask, bits))
+        if not bits.bit_count() & 1:
+            cascade[0] += 1
+        elif not bits & 1:
+            cascade[1] += 1
+        else:
+            cascade[3 if bits in target_sets[0] else 2] += 1
+    return hits, cascade
 
 
-def check_scan(n: int, primitive: frozenset[int]) -> tuple[bool, list]:
-    """Whether _scan matches the per-diagonal scan, and the latter's hits."""
+def check_scan(n: int, primitive: frozenset[int]) -> tuple[bool, list, list[int]]:
+    """Whether _scan matches the per-diagonal scan, the latter's hits,
+    and its cascade counts."""
     target_sets = [primitive]
     if n <= _EVERY_MAX_N:
         target_sets.append(frozenset(range(1 << n, 1 << (n + 1))))
-    want = [per_diagonal(n, targets) for targets in target_sets]
+    want, cascade = per_diagonal(n, target_sets)
     got = [sorted((mask, bits) for bits, mask in _scan(n, targets)) for targets in target_sets]
-    return got == want, want
+    return got == want, want, cascade
 
 
 def check_enum(n: int, hits: list[tuple[int, int]]) -> tuple[bool, str]:
@@ -125,21 +149,47 @@ def check_listing(n: int) -> tuple[bool, list[int]]:
     return [p.bits for p in enumerate_primitive(n)] == want, want
 
 
+def check_filter(n: int, cascade: list[int]) -> tuple[bool, FilterStats]:
+    """Whether filter_stats gives the per-diagonal scan's cascade counts,
+    and those counts."""
+    want = FilterStats(n, 1 << n, *cascade)
+    return filter_stats(n) == want, want
+
+
+def check_stream(n: int) -> tuple[bool, list[int]]:
+    """Whether _stream_chunks yields the first 4,096 bits of stream_bits
+    for a rule vector, seed and tap seeded with n, and those bits."""
+    rng = random.Random(n)
+    rv, seed = RuleVector.from_mask(rng.randrange(1 << n), n), CaState(rng.randrange(1, 1 << n), n)
+    tap = rng.randrange(n)
+    want = list(stream_bits(rv, seed, 4096, tap))
+    got = [value >> i & 1 for value, nbits in _stream_chunks(rv, seed, 4096, tap) for i in range(nbits)]
+    return got == want, want
+
+
 def main(argv: list[str]) -> int:
     parser = argparse.ArgumentParser(prog="oracles.py", description="Check fast paths against their oracles.")
-    parser.add_argument("--max-n", type=int, default=MAX_N, help=f"largest n, 2..{MAX_N} (default {MAX_N})")
+    parser.add_argument(
+        "--max-n", type=int, default=MAX_N, help=f"largest n but the stream pair's, 2..{MAX_N} (default {MAX_N})"
+    )
     max_n = parser.parse_args(argv).max_n
     if not 2 <= max_n <= MAX_N:
         parser.error(f"--max-n must be in 2..{MAX_N}, got {max_n}")
     failed = 0
-    for n in range(2, max_n + 1):
-        scan_ok, hits = check_scan(n, _primitive_set(n))
-        enum_ok, text = check_enum(n, hits[0])
-        jump_ok, lengths = check_jump(n)
-        results = [("scan", scan_ok, repr(hits)), ("enum", enum_ok, text), ("jump", jump_ok, repr(lengths))]
-        if n <= _LISTING_MAX_N:
-            listing_ok, listed = check_listing(n)
-            results.append(("listing", listing_ok, repr(listed)))
+    for n in range(2, MAX_DEGREE + 1):
+        results = []
+        if n <= max_n:
+            scan_ok, hits, cascade = check_scan(n, _primitive_set(n))
+            enum_ok, text = check_enum(n, hits[0])
+            jump_ok, lengths = check_jump(n)
+            results += [("scan", scan_ok, repr(hits)), ("enum", enum_ok, text), ("jump", jump_ok, repr(lengths))]
+            if n <= _LISTING_MAX_N:
+                listing_ok, listed = check_listing(n)
+                results.append(("listing", listing_ok, repr(listed)))
+            filter_ok, stats = check_filter(n, cascade)
+            results.append(("filter", filter_ok, repr(stats)))
+        stream_ok, streamed = check_stream(n)
+        results.append(("stream", stream_ok, repr(streamed)))
         for pair, same, compared in results:
             digest = hashlib.sha256(compared.encode()).hexdigest()
             print(f"{pair}\t{n}\t{'ok' if same else 'MISMATCH'}\t{digest}", flush=True)
