@@ -33,7 +33,7 @@ from .charpoly import RuleVector, _charpoly_bits, reverse
 from .gf2poly import Gf2Poly, _Record, _reverse_bits, format_poly
 # factorize_mersenne is not called here; it stays bound because
 # perfbench/layertrace.py wraps maxca.enumerator's names, this one too.
-from .primitivity import enumerate_primitive, factorize_mersenne, is_primitive, primitive_count
+from .primitivity import _listing, factorize_mersenne, is_primitive, primitive_count
 
 __all__ = [
     "EXHAUSTIVE_CAP",
@@ -93,7 +93,7 @@ def _check_n(n: int, force: bool) -> None:
 
 
 def _primitive_set(n: int) -> frozenset[int]:
-    return frozenset(p.bits for p in enumerate_primitive(n))
+    return frozenset(_listing(n))
 
 
 def _scan(n: int, targets: frozenset[int]) -> list[tuple[int, int]]:

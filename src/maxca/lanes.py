@@ -1,17 +1,27 @@
 """The listing of the primitive polynomials of degree n, as one
-bit-sliced Berlekamp-Massey pass over every decimation of an m-sequence.
+bit-sliced Berlekamp-Massey pass over decimations of an m-sequence.
 
 `primitivity.enumerate_primitive` checks the degree, finds the least
-primitive p0 by order tests, hands it here and sorts what comes back;
-everything between lives in this module. The m-sequence s of p0 is read once, from the
-block kernel of gf2poly, as one ASCII digit per term. For each coset
-leader k coprime to the period, the decimation s[k*i mod period] is an
-m-sequence whose minimal polynomial is primitive, and each cyclotomic
-coset gives a distinct one. The decimations run as the bit lanes of big
-ints: term i of every decimation is one word, and one pass of Massey's
-algorithm over 2n words, with no branch per lane, gives every
-polynomial. Its test oracle, the scalar pass over one sequence at a
-time, lives in the tests.
+primitive p0 by order tests, hands it here with the distinct primes of
+the period 2^n - 1 and sorts what comes back; everything between lives
+in this module. For each k coprime to the period, the decimation
+s[k*i mod period] of p0's m-sequence s is an m-sequence whose minimal
+polynomial is primitive, and each cyclotomic coset {k * 2^j} gives a
+distinct one. The decimation by -k runs s backwards, so its polynomial
+is the reciprocal of k's: only one coset of each pair {k, -k} runs,
+and its lane gives both polynomials. The leaders come from a sieve
+over 0..2^(n-1)-1, in the buffer that then holds the m-sequence.
+
+The m-sequence is read once, from the block kernel of gf2poly, as one
+ASCII digit per term, in its trace phase s[t] = Tr(alpha^t), alpha a
+root of p0. There s[2t] = s[t], so every decimation u has u[2i] = u[i]:
+of the 2n terms that Massey's algorithm reads, only the n odd ones are
+gathered. The decimations run as the bit lanes of big ints: term i of
+every decimation is one word, and one pass of Massey's algorithm over
+2n words, with no branch per lane, gives every polynomial, and checks
+that each lane has linear complexity n, so a sequence out of its trace
+phase raises instead of mislisting. Its test oracle, the scalar pass
+over one sequence at a time, lives in the tests.
 
 `_massey_lanes` reads its bit lanes back into ints through one
 transpose. Of the `maxca` commands, only `enum` and `primpoly-list`
@@ -21,70 +31,115 @@ and audit query) do not compile it.
 
 from __future__ import annotations
 
-import math
+import sys
 from functools import reduce
-from itertools import islice
 from operator import and_, itemgetter, xor
 
-from .gf2poly import _first_bits, _format_lsb, _recurrence_blocks
+from .gf2poly import _first_bits, _format_lsb, _recurrence_blocks, _reverse_bits
 
 # Lanes per pass: one pass up to n = 18, and at n = 24 seventeen, whose
-# index lists stay near 0.6 MB each.
-_LANES = 1 << 14
+# index lists stay near 0.3 MB each. Passes twice as wide raised the
+# peak RSS of `primpoly-list --n 24` by 0.5-1 MB.
+_LANES = 1 << 13
 
 
-def _primitive_bits(p0: int, n: int) -> list[int]:
-    # Every primitive polynomial of degree n, as coefficient bits in the
-    # order of their coset leaders, from p0, a primitive one: the
+def _primitive_bits(p0: int, n: int, primes) -> list[int]:
+    # Every primitive polynomial of degree n, as coefficient bits, from
+    # p0, a primitive one, and the distinct primes of 2^n - 1: the
     # minimal polynomial of each decimation of p0's m-sequence by a
-    # leader coprime to the period. Each decimation must have linear
-    # complexity n.
+    # pair leader, and its reciprocal. Each decimation must have linear
+    # complexity n. One buffer of a byte per term holds first the sieve
+    # of the leaders, then the m-sequence. Freeing a large block raises
+    # glibc's mmap threshold, so a second buffer of that size came from
+    # the heap and stayed resident after use: the peak RSS of
+    # `primpoly-list --n 24` was 13 MB larger.
     period = (1 << n) - 1
-    digits = _m_sequence(p0, n)
-    leaders = (k for k in _coset_leaders(n) if math.gcd(k, period) == 1)
+    digits = bytearray(period)
+    leaders = _pair_leaders(digits, n, primes)
+    _m_sequence(p0, n, digits)
     found = []
-    while lanes := list(islice(leaders, _LANES)):
-        found += _massey_lanes(_decimations(digits, period, lanes, 2 * n), n, len(lanes))
+    for start in range(0, len(leaders), _LANES):
+        lanes = leaders[start : start + _LANES].tolist()
+        polys = _massey_lanes(_decimations(digits, period, lanes, 2 * n), n, len(lanes))
+        found += polys
+        # Only x^2 + x + 1 is its own reciprocal: at n = 2, k = 1 and
+        # -1 = 2 share a coset.
+        found += [r for p in polys if (r := _reverse_bits(p, n + 1)) != p]
     return found
 
 
-def _m_sequence(p: int, n: int) -> bytearray:
-    # One period (2^n - 1 terms) of the sequence that obeys p, from the
-    # impulse seed, one ASCII digit per term. Appended block by block,
-    # so the period is never held twice.
-    digits = bytearray()
-    for block, bits in _first_bits(_recurrence_blocks(p, [1] + [0] * (n - 1)), (1 << n) - 1):
-        digits += _format_lsb(block, bits).encode()
+def _pair_leaders(sieve: bytearray, n: int, primes) -> memoryview:
+    # One k from each pair of cyclotomic cosets {k * 2^j}, {-k * 2^j}
+    # coprime to the period 2^n - 1, ascending: the least member of the
+    # two, which is below half = 2^(n-1), since of r and period - r one
+    # always is. The first half bytes of sieve, zeroed, stand for
+    # 0..half-1. Marking 0 and the multiples of each prime leaves the
+    # coprime k unmarked; each k found marks, for each of its n
+    # rotations r (multiplying by 2 rotates k's n-bit pattern), whichever
+    # of r and period - r is below half. The leaders come back as 4-byte
+    # words, a memoryview of a bytearray: a list holds about 36 bytes per
+    # int, at n = 24 for 138,240 of them, and the array module is a
+    # shared library that each listing child would load, for about
+    # 0.2 ms and 0.13 MB of peak RSS.
+    period = (1 << n) - 1
+    half = 1 << (n - 1)
+    for q in primes:
+        sieve[:half:q] = b"\1" * len(range(0, half, q))
+    leaders = bytearray()
+    k = sieve.find(0, 0, half)
+    while k >= 0:
+        leaders += k.to_bytes(4, sys.byteorder)
+        r = k
+        for _ in range(n):
+            sieve[r if r < half else period - r] = 1
+            r = (r << 1) % period
+        k = sieve.find(0, k, half)
+    return memoryview(leaders).cast("I")
+
+
+def _trace_head(p: int, n: int) -> list[int]:
+    # S_j = Tr(alpha^j) for j < n, alpha a root of p of degree n, from
+    # p's coefficients c_i by Newton's identities over GF(2): S_0 = n
+    # mod 2, and S_j = j*c_{n-j} + sum over 0 < i < j of c_{n-i}*S_{j-i}.
+    head = [n & 1]
+    for j in range(1, n):
+        s = j & p >> (n - j)
+        for i in range(1, j):
+            s ^= p >> (n - i) & head[j - i]
+        head.append(s & 1)
+    return head
+
+
+def _m_sequence(p: int, n: int, digits: bytearray) -> bytearray:
+    # One period (2^n - 1 terms) of the sequence that obeys p, in its
+    # trace phase, one ASCII digit per term, written block by block over
+    # digits, a bytearray of that length, and returned.
+    start = 0
+    for block, bits in _first_bits(_recurrence_blocks(p, _trace_head(p, n)), len(digits)):
+        digits[start : start + bits] = _format_lsb(block, bits).encode()
+        start += bits
     return digits
 
 
-def _coset_leaders(n: int):
-    # Smallest member of each cyclotomic coset {k * 2^j mod 2^n - 1} of
-    # size n: multiplying by 2 rotates k's n-bit pattern, so these are
-    # the binary Lyndon words of length n (Duval's generator, O(n)
-    # memory), in ascending order. One step repeats the word to length
-    # n, drops its trailing 1s and sets its last character to 1.
-    word = "0"
-    while word:
-        if len(word) == n:
-            yield int(word, 2)
-        word = (word * -(-n // len(word)))[:n].rstrip("1")
-        if word:
-            word = word[:-1] + "1"
-
-
-def _decimations(digits: bytearray, period: int, leaders: list[int], count: int):
-    # The first count terms of the decimations s[k*i mod period] of the
-    # sequence s that digits holds, one lane word per term: bit l of
-    # word i is term i of the decimation by leaders[l]. Each word is one
-    # itemgetter call and one int parse, over the indices k*i mod period.
-    for i in range(count):
+def _decimations(digits: bytearray, period: int, leaders: list[int], count: int) -> list[int]:
+    # The first count terms of the decimations u = s[k*i mod period] of
+    # the sequence s that digits holds in its trace phase, one lane word
+    # per term: bit l of word i is term i of the decimation by
+    # leaders[l]. Term 0 is s[0] in every lane, and u[2i] = u[i], so
+    # only the odd terms are gathered, each one itemgetter call and one
+    # int parse over the indices k*i mod period.
+    words = [(1 << len(leaders)) - 1 if digits[0] == ord("1") else 0]
+    for i in range(1, count):
+        if i % 2 == 0:
+            words.append(words[i // 2])
+            continue
         idx = [k * i % period for k in leaders]
         terms = itemgetter(*idx)(digits)
         # (itemgetter of one index returns the item, not a tuple.) The
         # gathered terms are digits already, so the parse is unchecked:
         # _parse_lsb's check would build a set of every word's digits.
-        yield int(bytes(terms if len(idx) > 1 else [terms])[::-1], 2)
+        words.append(int(bytes(terms if len(idx) > 1 else [terms])[::-1], 2))
+    return words
 
 
 def _massey_lanes(words, n: int, lanes: int) -> list[int]:

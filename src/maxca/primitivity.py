@@ -203,12 +203,22 @@ def enumerate_primitive(n: int) -> list[Gf2Poly]:
     the decimation s[k*i mod (2^n - 1)] is an m-sequence whose minimal
     polynomial is primitive, Berlekamp-Massey recovers it from 2n
     terms, and each cyclotomic coset of k gives a distinct polynomial.
-    The coset leaders run as the bit lanes of one branch-free
-    Berlekamp-Massey pass (`lanes`, 16,384 lanes at a time), and each
-    lane must end with linear complexity n, or RuntimeError. Working
-    memory is one period as a digit per term, 2^n - 1 bytes, next to
-    the result list, so n stops at LISTING_CAP.
+    The decimation by -k gives the reciprocal of k's polynomial, so one
+    coset leader per pair {k, -k}, found by a sieve, runs as a bit lane
+    of one branch-free Berlekamp-Massey pass (`lanes`, 8,192 lanes at a
+    time), and each lane must end with linear complexity n, or
+    RuntimeError. s is read in its trace phase, where s[2t] = s[t], so
+    only the n odd terms of each decimation are gathered. Working
+    memory is one buffer of 2^n - 1 bytes, first the sieve, then one
+    period as a digit per term, next to the leaders and the result, so
+    n stops at LISTING_CAP.
     """
+    return [Gf2Poly(bits) for bits in sorted(_listing(n))]
+
+
+def _listing(n: int) -> list[int]:
+    # enumerate_primitive's checks and polynomials, as unsorted bits:
+    # the enumerator's primitive set needs no records and no order.
     if n < 2:
         raise ValueError(f"n must be at least 2, got {n}")
     f = factorize_mersenne(n)
@@ -223,4 +233,4 @@ def enumerate_primitive(n: int) -> list[Gf2Poly]:
     )
     from .lanes import _primitive_bits  # compiled only where a listing runs
 
-    return [Gf2Poly(bits) for bits in sorted(_primitive_bits(p0, n))]
+    return _primitive_bits(p0, n, f.distinct_primes())

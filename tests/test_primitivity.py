@@ -21,10 +21,10 @@ from maxca.primitivity import (
 )
 from maxca import lanes
 from maxca.lanes import (
-    _coset_leaders,
     _decimations,
     _m_sequence,
     _massey_lanes,
+    _pair_leaders,
     _primitive_bits,
 )
 
@@ -62,6 +62,16 @@ def _lfsr(p: int, seed: list[int], count: int) -> list[int]:
         i = len(s) - n
         s.append(sum(s[i + j] for j in range(n) if (p >> j) & 1) % 2)
     return s[:count]
+
+
+def _trace(t: int, p: int) -> int:
+    """Tr(x^t) modulo the irreducible p of degree n: the sum of the n
+    conjugates x^(t * 2^i), which is the constant 0 or 1."""
+    total = 0
+    for i in range(p.bit_length() - 1):
+        total ^= pow_x_mod(t << i, Gf2Poly(p)).bits
+    assert total in (0, 1)
+    return total
 
 
 def _divisor_scan_irreducible(p: Gf2Poly) -> bool:
@@ -339,14 +349,25 @@ class TestDecimationParts:
                     seq = _lfsr(bits, [0] * (n - 1) + [1], 2 * n)
                     assert _berlekamp_massey(seq) == bits, (n, bits)
 
+    @pytest.mark.parametrize("n", range(2, 17))
+    def test_m_sequence_is_in_its_trace_phase(self, n):
+        # s[t] = Tr(alpha^t), the trace of x^t modulo p0, summed over its
+        # n conjugates by pow_x_mod; then s[2t mod period] = s[t], and
+        # the whole period obeys p0's recurrence.
+        period = (1 << n) - 1
+        p0 = _least_primitive(n)
+        got = [digit - ord("0") for digit in _digits(p0, n)]
+        assert got[:n] == [_trace(t, p0) for t in range(n)]
+        assert got == _lfsr(p0, got[:n], period)
+        assert all(got[2 * t % period] == got[t] for t in range(period))
+
     def test_m_sequence_matches_step_by_step(self):
         for n in range(2, 11):
             period = (1 << n) - 1
             for p in enumerate_primitive(n)[:3]:
-                digits = _m_sequence(p.bits, n)
-                assert len(digits) == period
-                got = [digit - ord("0") for digit in digits]
-                assert got == _lfsr(p.bits, [1] + [0] * (n - 1), period)
+                got = [digit - ord("0") for digit in _digits(p.bits, n)]
+                assert len(got) == period
+                assert got == _lfsr(p.bits, lanes._trace_head(p.bits, n), period)
 
     def test_m_sequence_past_the_doubling_phase(self):
         # At n = 20 the kernel reaches full 2^15-bit blocks, since
@@ -355,10 +376,10 @@ class TestDecimationParts:
         n, period = 20, (1 << 20) - 1
         p0 = 0b100000000000000001001  # x^20 + x^3 + 1, the least primitive
         assert is_primitive(Gf2Poly(p0))
-        digits = _m_sequence(p0, n)
+        digits = _digits(p0, n)
         assert len(digits) == period
         seq = int(digits[::-1], 2)
-        assert seq & ((1 << n) - 1) == 1
+        assert seq & ((1 << n) - 1) == sum(bit << j for j, bit in enumerate(lanes._trace_head(p0, n)))
         assert seq.bit_count() == 1 << (n - 1)
         twice = seq | seq << period
         nxt = 0
@@ -367,34 +388,40 @@ class TestDecimationParts:
                 nxt ^= twice >> j
         assert (nxt ^ (twice >> n)) & ((1 << (2 * period - n)) - 1) == 0
 
-    def test_coset_leaders_are_least_rotations(self):
-        for n in range(2, 13):
-            period = (1 << n) - 1
-            want = []
-            for k in range(1, period):
-                coset = {k * (1 << j) % period for j in range(n)}
-                if len(coset) == n and k == min(coset):
-                    want.append(k)
-            assert list(_coset_leaders(n)) == want, n
+    @pytest.mark.parametrize("n", range(2, 15))
+    def test_pair_leaders_and_their_complements_cover_the_coprime_cosets(self, n):
+        # Brute force: every cyclotomic coset {k * 2^j mod period} of a k
+        # coprime to the period holds exactly one leader or one leader's
+        # complement period - k, and each leader is the least member of
+        # its coset and its complement's. At n = 2 the one coset {1, 2}
+        # holds both 1 and its complement 2.
+        period = (1 << n) - 1
+        leaders = _leaders(n)
+        assert leaders == sorted(set(leaders))
+        cosets = {
+            frozenset(k * (1 << j) % period for j in range(n))
+            for k in range(1, period)
+            if math.gcd(k, period) == 1
+        }
+        hit = [next(c for c in cosets if k in c) for k in leaders]
+        hit += [next(c for c in cosets if period - k in c) for k in leaders]
+        if n == 2:
+            assert leaders == [1] and hit == [frozenset({1, 2})] * 2
+        else:
+            assert sorted(hit, key=min) == sorted(cosets, key=min)
+            assert len(leaders) == primitive_count(n) // 2
+        for k, mine, other in zip(leaders, hit, hit[len(leaders):]):
+            assert k == min(mine | other)
 
-    def test_coset_leaders_count_and_order(self):
-        # As many as the Lyndon words of length n, (1/n) sum mu(d) 2^(n/d)
-        # over the divisors d of n, and in ascending order.
-        def mobius(d):
-            sign = 1
-            for q in range(2, d + 1):
-                if d % q == 0:
-                    d //= q
-                    if d % q == 0:
-                        return 0
-                    sign = -sign
-            return sign
 
-        for n in range(1, 21):
-            leaders = list(_coset_leaders(n))
-            want = sum(mobius(d) << (n // d) for d in range(1, n + 1) if n % d == 0) // n
-            assert len(leaders) == want, n
-            assert leaders == sorted(set(leaders)), n
+def _digits(p: int, n: int) -> bytearray:
+    """One period of p's m-sequence in its trace phase, as ASCII digits."""
+    return _m_sequence(p, n, bytearray((1 << n) - 1))
+
+
+def _leaders(n: int) -> list[int]:
+    """One coprime coset leader per reciprocal pair, as the listing runs."""
+    return list(_pair_leaders(bytearray(1 << (n - 1)), n, factorize_mersenne(n).distinct_primes()))
 
 
 def _decimated(digits: bytearray, k: int, n: int) -> list[int]:
@@ -409,14 +436,15 @@ def _least_primitive(n: int) -> int:
 
 class TestMasseyLanes:
     """The bit-sliced pass against the scalar Berlekamp-Massey, lane by
-    lane: one lane per coprime coset leader, as the listing runs it."""
+    lane: one lane per reciprocal pair of coprime cosets, on the rows the
+    listing gathers and copies from the trace-phase m-sequence."""
 
     @pytest.mark.parametrize("n", range(2, 17))
     def test_every_coset_matches_the_scalar_oracle(self, n):
         period = (1 << n) - 1
-        digits = _m_sequence(_least_primitive(n), n)
-        leaders = [k for k in _coset_leaders(n) if math.gcd(k, period) == 1]
-        words = list(_decimations(digits, period, leaders, 2 * n))
+        digits = _digits(_least_primitive(n), n)
+        leaders = _leaders(n)
+        words = _decimations(digits, period, leaders, 2 * n)
         terms = [_decimated(digits, k, n) for k in leaders]
         assert words == [sum(bits[i] << lane for lane, bits in enumerate(terms)) for i in range(2 * n)]
         assert _massey_lanes(words, n, len(leaders)) == [_berlekamp_massey(bits) for bits in terms]
@@ -424,7 +452,7 @@ class TestMasseyLanes:
     @pytest.mark.parametrize(
         "lane",
         [
-            _decimated(_m_sequence(0b100011101, 8), 17, 8),  # 17 divides 255: complexity 4
+            _decimated(_digits(0b100011101, 8), 17, 8),  # 17 divides 255: complexity 4
             [0] * 16,  # complexity 0
             [0] * 15 + [1],  # complexity 16
         ],
@@ -432,24 +460,25 @@ class TestMasseyLanes:
     )
     def test_a_lane_of_other_complexity_raises(self, lane):
         n, period = 8, 255
-        leaders = [k for k in _coset_leaders(n) if math.gcd(k, period) == 1]
-        words = list(_decimations(_m_sequence(0b100011101, n), period, leaders, 2 * n))
+        leaders = _leaders(n)
+        words = _decimations(_digits(0b100011101, n), period, leaders, 2 * n)
         assert _massey_lanes(words, n, len(leaders))  # every coprime lane passes
         assert _berlekamp_massey(lane).bit_length() - 1 != n
         words = [word & ~1 | bit for word, bit in zip(words, lane)]
         with pytest.raises(RuntimeError, match="linear complexity"):
             _massey_lanes(words, n, len(leaders))
 
-    @pytest.mark.parametrize("per_pass", [1, 7, 59])
+    @pytest.mark.parametrize("per_pass", [1, 7, 29, 59])
     def test_passes_of_any_width_give_the_same_polynomials(self, monkeypatch, per_pass):
-        # 60 lanes at n = 10: one lane per pass, a short last pass, and a
-        # last pass of one lane.
+        # 30 lanes at n = 10: one lane per pass, a short last pass, a
+        # last pass of one lane, and one pass wider than the lanes.
         n = 10
         p0 = _least_primitive(n)
-        whole = _primitive_bits(p0, n)
+        primes = factorize_mersenne(n).distinct_primes()
+        whole = _primitive_bits(p0, n, primes)
         assert sorted(whole) == [p.bits for p in enumerate_primitive(n)]
         monkeypatch.setattr(lanes, "_LANES", per_pass)
-        assert _primitive_bits(p0, n) == whole
+        assert sorted(_primitive_bits(p0, n, primes)) == sorted(whole)
 
 
 def _layertrace():

@@ -14,30 +14,46 @@ from maxca.gf2poly import _Record
 from maxca.primitivity import MersenneFactorization, factorize_mersenne
 from maxca.tables import RowVerdict, TableRow, VerificationReport
 
-ROW = TableRow(n=3, poly_str="1011", rv_str="011")
-VERDICT = RowVerdict(ROW, "1101", False, True, 7)
+def _row():
+    return TableRow(n=3, poly_str="1011", rv_str="011")
 
+
+def _verdict():
+    return RowVerdict(_row(), "1101", False, True, 7)
+
+
+# (record name, a call that builds one, its repr). The tests make their
+# values, so a broken constructor fails its own cases, where values
+# built at import would stop the module's collection.
 VALUES = [
-    (Gf2Poly(0b100011101), "Gf2Poly('100011101')"),
-    (RuleVector("00000110"), "RuleVector('00000110')"),
-    (CaState(bits=5, n=4), "CaState(bits=5, n=4)"),
-    (factorize_mersenne(4), "MersenneFactorization(n=4, value=15, prime_factors=((3, 1), (5, 1)))"),
+    ("Gf2Poly", lambda: Gf2Poly(0b100011101), "Gf2Poly('100011101')"),
+    ("RuleVector", lambda: RuleVector("00000110"), "RuleVector('00000110')"),
+    ("CaState", lambda: CaState(bits=5, n=4), "CaState(bits=5, n=4)"),
     (
-        MaxLenEntry(2, RuleVector("01"), Gf2Poly(0b111)),
+        "MersenneFactorization",
+        lambda: factorize_mersenne(4),
+        "MersenneFactorization(n=4, value=15, prime_factors=((3, 1), (5, 1)))",
+    ),
+    (
+        "MaxLenEntry",
+        lambda: MaxLenEntry(2, RuleVector("01"), Gf2Poly(0b111)),
         "MaxLenEntry(n=2, rule_vector=RuleVector('01'), polynomial=Gf2Poly('111'))",
     ),
     (
-        FilterStats(n=2, total=4, even_weight=1, zero_constant=1, not_primitive=0, survivors=2),
+        "FilterStats",
+        lambda: FilterStats(n=2, total=4, even_weight=1, zero_constant=1, not_primitive=0, survivors=2),
         "FilterStats(n=2, total=4, even_weight=1, zero_constant=1, not_primitive=0, survivors=2)",
     ),
-    (ROW, "TableRow(n=3, poly_str='1011', rv_str='011')"),
+    ("TableRow", _row, "TableRow(n=3, poly_str='1011', rv_str='011')"),
     (
-        VERDICT,
+        "RowVerdict",
+        _verdict,
         "RowVerdict(row=TableRow(n=3, poly_str='1011', rv_str='011'), computed_poly='1101', "
         "charpoly_match=False, poly_primitive=True, cycle_length=7)",
     ),
     (
-        VerificationReport(total=1, passed=0, failures=(VERDICT,)),
+        "VerificationReport",
+        lambda: VerificationReport(total=1, passed=0, failures=(_verdict(),)),
         "VerificationReport(total=1, passed=0, failures=(RowVerdict(row=TableRow(n=3, "
         "poly_str='1011', rv_str='011'), computed_poly='1101', charpoly_match=False, "
         "poly_primitive=True, cycle_length=7),))",
@@ -45,11 +61,12 @@ VALUES = [
 ]
 
 
-IDS = [type(value).__name__ for value, _ in VALUES]
+IDS = [name for name, _, _ in VALUES]
 
 
-@pytest.mark.parametrize("value, text", VALUES, ids=IDS)
-def test_round_trip_keeps_equality_hash_and_repr(value, text):
+@pytest.mark.parametrize("make, text", [(make, text) for _, make, text in VALUES], ids=IDS)
+def test_round_trip_keeps_equality_hash_and_repr(make, text):
+    value = make()
     assert repr(value) == text
     for copied in (pickle.loads(pickle.dumps(value)), copy.deepcopy(value)):
         assert type(copied) is type(value)
@@ -58,8 +75,9 @@ def test_round_trip_keeps_equality_hash_and_repr(value, text):
         assert repr(copied) == text
 
 
-@pytest.mark.parametrize("value", [value for value, _ in VALUES], ids=IDS)
-def test_fields_cannot_be_set_or_deleted(value):
+@pytest.mark.parametrize("make", [make for _, make, _ in VALUES], ids=IDS)
+def test_fields_cannot_be_set_or_deleted(make):
+    value = make()
     name = type(value).__slots__[0]
     with pytest.raises(AttributeError, match="is immutable"):
         setattr(value, name, 0)
@@ -85,16 +103,17 @@ def test_validation_keeps_its_messages():
 # The records whose constructor takes their fields: the five with the
 # __init__ that _Record makes, and CaState and TableRow, which validate
 # in their own. Gf2Poly and RuleVector are built from other arguments.
-BOUND = [value for value, _ in VALUES if type(value) not in (Gf2Poly, RuleVector)]
-BOUND_IDS = [type(value).__name__ for value in BOUND]
+BOUND = [(name, make) for name, make, _ in VALUES if name not in ("Gf2Poly", "RuleVector")]
+BOUND_IDS = [name for name, _ in BOUND]
 
 
 def _fields(value):
     return [getattr(value, name) for name in type(value).__slots__]
 
 
-@pytest.mark.parametrize("value", BOUND, ids=BOUND_IDS)
-def test_positional_and_keyword_construction_agree(value):
+@pytest.mark.parametrize("make", [make for _, make in BOUND], ids=BOUND_IDS)
+def test_positional_and_keyword_construction_agree(make):
+    value = make()
     cls, names, fields = type(value), type(value).__slots__, _fields(value)
     assert cls(*fields) == value
     assert cls(**dict(zip(names, fields))) == value
@@ -102,8 +121,9 @@ def test_positional_and_keyword_construction_agree(value):
     assert cls(**dict(reversed(list(zip(names, fields))))) == value
 
 
-@pytest.mark.parametrize("value", BOUND, ids=BOUND_IDS)
-def test_each_field_needs_exactly_one_value(value):
+@pytest.mark.parametrize("make", [make for _, make in BOUND], ids=BOUND_IDS)
+def test_each_field_needs_exactly_one_value(make):
+    value = make()
     cls, names, fields = type(value), type(value).__slots__, _fields(value)
     calls = [
         lambda: cls(*fields[:-1]),  # last field missing

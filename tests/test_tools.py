@@ -84,9 +84,14 @@ def test_enum_text_mutants_are_killed():
 
 
 def test_listing_mutants_are_killed():
-    # The listing's decimation indices and its complexity check; the
-    # lane-by-lane oracle tests must catch either.
-    _assert_killed(["decimation-index-added", "massey-lanes-without-complexity-check"])
+    # The listing's decimation indices, its copies of the even rows, the
+    # trace phase of its m-sequence, its reciprocals and its complexity
+    # check; the lane-by-lane, trace-phase and listing tests must catch
+    # each.
+    _assert_killed([
+        "decimation-index-added", "even-row-copied-from-wrong-index", "trace-head-without-j-term",
+        "reciprocals-dropped", "massey-lanes-without-complexity-check",
+    ])
 
 
 def test_record_mutants_are_killed():

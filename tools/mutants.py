@@ -104,15 +104,21 @@ MUTANTS = [
         "tests/test_automaton.py",
     ),
     (
-        "m-sequence-one-term-short", "src/maxca/lanes.py",
-        "[1] + [0] * (n - 1)), (1 << n) - 1):",
-        "[1] + [0] * (n - 1)), (1 << n) - 2):",
+        "reciprocals-dropped", "src/maxca/lanes.py",
+        "        found += [r for p in polys if (r := _reverse_bits(p, n + 1)) != p]\n",
+        "",
         "tests/test_primitivity.py",
     ),
     (
-        "lanes-binds-math-gcd", "src/maxca/lanes.py",
-        "import math\n",
-        "import math\nfrom math import gcd\n",
+        "even-row-copied-from-wrong-index", "src/maxca/lanes.py",
+        "words.append(words[i // 2])",
+        "words.append(words[i - 1])",
+        "tests/test_primitivity.py",
+    ),
+    (
+        "trace-head-without-j-term", "src/maxca/lanes.py",
+        "        s = j & p >> (n - j)\n",
+        "        s = 0\n",
         "tests/test_primitivity.py",
     ),
     (

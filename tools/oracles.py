@@ -31,7 +31,9 @@ oracle's side of what was compared, tab-separated. The pairs:
             pass takes as it goes, as a FilterStats.
     stream  automaton._stream_chunks against the per-step stream_bits,
             as the first 4,096 bits, for one rule vector, seed and tap
-            seeded with n, to n = 64 (gf2poly.MAX_DEGREE).
+            seeded with n, to n = 64 (gf2poly.MAX_DEGREE). At n = 3 the
+            case runs to 786,432 bits, four times the n * 65,536 after
+            which the block kernel's window of 2n blocks slides.
 
 It runs the maxca in the src/ next to it, `enum` as a child process. It
 exits 1 after the last line if any pair mismatched, 2 on a usage error.
@@ -54,7 +56,7 @@ sys.path.insert(0, SRC)
 from maxca.automaton import CaState, _cycle_length_jump, _stream_chunks, cycle_length_from, stream_bits  # noqa: E402
 from maxca.charpoly import RuleVector, _charpoly_bits  # noqa: E402
 from maxca.enumerator import FilterStats, _primitive_set, _scan, filter_stats  # noqa: E402
-from maxca.gf2poly import MAX_DEGREE, Gf2Poly, format_poly  # noqa: E402
+from maxca.gf2poly import _BLOCK_BITS, MAX_DEGREE, Gf2Poly, format_poly  # noqa: E402
 from maxca.primitivity import enumerate_primitive, is_primitive  # noqa: E402
 
 MAX_N = 20
@@ -64,6 +66,9 @@ _EVERY_MAX_N = 16
 _JUMP_EVERY_MAX_N = 7
 # The listing is checked against the order-test filter up to this n.
 _LISTING_MAX_N = 18
+# The stream pair's case at this n runs through the block kernel's
+# sliding window; the others stop at 4,096 bits, inside its doubling.
+_STREAM_SLIDE_N = 3
 
 
 def per_diagonal(n: int, target_sets: list[frozenset[int]]) -> tuple[list[list[tuple[int, int]]], list[int]]:
@@ -158,12 +163,14 @@ def check_filter(n: int, cascade: list[int]) -> tuple[bool, FilterStats]:
 
 def check_stream(n: int) -> tuple[bool, list[int]]:
     """Whether _stream_chunks yields the first 4,096 bits of stream_bits
-    for a rule vector, seed and tap seeded with n, and those bits."""
+    (at _STREAM_SLIDE_N, 4 * n * 2 * _BLOCK_BITS) for a rule vector, seed
+    and tap seeded with n, and those bits."""
     rng = random.Random(n)
     rv, seed = RuleVector.from_mask(rng.randrange(1 << n), n), CaState(rng.randrange(1, 1 << n), n)
     tap = rng.randrange(n)
-    want = list(stream_bits(rv, seed, 4096, tap))
-    got = [value >> i & 1 for value, nbits in _stream_chunks(rv, seed, 4096, tap) for i in range(nbits)]
+    count = 4 * n * 2 * _BLOCK_BITS if n == _STREAM_SLIDE_N else 4096
+    want = list(stream_bits(rv, seed, count, tap))
+    got = [value >> i & 1 for value, nbits in _stream_chunks(rv, seed, count, tap) for i in range(nbits)]
     return got == want, want
 
 
