@@ -25,8 +25,6 @@ endless run to the bit count. `stream_bits` keeps the per-step
 generator as the reference.
 """
 
-from __future__ import annotations
-
 from collections.abc import Iterable, Iterator
 
 from .charpoly import RuleVector, _charpoly_bits

@@ -10,8 +10,6 @@ primitive here. The text form (cell 0 first) and mirror reversal are
 gf2poly's LSB-first text form and bit reversal.
 """
 
-from __future__ import annotations
-
 from collections.abc import Iterable
 
 from .gf2poly import Gf2Poly, _format_lsb, _parse_lsb, _Record, _reverse_bits

@@ -16,8 +16,6 @@ usage error, 141 output pipe closed by the reader (128 + SIGPIPE, as a
 shell reports).
 """
 
-from __future__ import annotations
-
 import os
 import sys
 from itertools import islice, starmap

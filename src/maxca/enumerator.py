@@ -23,8 +23,6 @@ them as they are, and `enumerate_maxlen` builds its records from the
 same list.
 """
 
-from __future__ import annotations
-
 import sys
 from itertools import compress, groupby
 from operator import itemgetter

@@ -21,8 +21,6 @@ a polynomial p, from p(x)^B = p(x^B): it makes the m-sequence behind
 here because every other module imports this one.
 """
 
-from __future__ import annotations
-
 from operator import attrgetter
 
 __all__ = [

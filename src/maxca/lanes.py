@@ -29,8 +29,6 @@ import this module, both for the listing, so the others (every stream
 and audit query) do not compile it.
 """
 
-from __future__ import annotations
-
 import sys
 from functools import reduce
 from operator import and_, itemgetter, xor

@@ -14,8 +14,6 @@ finds the least primitive one by order tests; module `lanes`, which
 only the listing imports, derives all the others from its m-sequence.
 """
 
-from __future__ import annotations
-
 import math
 from functools import lru_cache
 

@@ -10,8 +10,6 @@ on every row in the tests. A failing row is a finding about the data,
 reported with full diagnostics and never silently dropped or edited.
 """
 
-from __future__ import annotations
-
 import os
 
 # cycle_length_from is uncalled; perfbench/layertrace.py wraps it here (ROADMAP items 18, 10).

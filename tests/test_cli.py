@@ -1,9 +1,11 @@
 """Command line surface: outputs, exit codes, and stream formats."""
 
+import argparse
 import fcntl
 import hashlib
 import importlib
 import os
+import random
 import subprocess
 import sys
 import textwrap
@@ -500,6 +502,101 @@ class TestArgumentParsing:
         out = run_main(capsys, command, "-h")[1]
         for name, (_, _, text) in cli._COMMANDS[command][2].items():
             assert f"  {name}" in out and text in out
+
+    @pytest.mark.skipif(sys.version_info[:2] != (3, 11), reason="the reader keeps Python 3.11's argparse wording")
+    def test_reads_argv_as_argparse_did(self):
+        parser = _argparse_parser()
+        rng = random.Random(19)
+        outcomes = set()
+        for _ in range(5000):
+            argv = _random_argv(rng)
+            # argparse stores [] for `--opt=--`; the reader takes the '--'
+            # as the value.
+            if any(token.endswith("=--") for token in argv):
+                continue
+            expected = _outcome(parser.parse_args, argv)
+            assert _outcome(cli._parse, argv) == expected, argv
+            outcomes.add(expected[0])
+        assert outcomes == {"namespace", "help", "error"}
+
+
+def _argparse_parser():
+    """The stdlib parser that cli's own reader replaced, rebuilt from
+    cli._COMMANDS: one subparser per command, each error raised as its
+    one line, and each help request raised with the prog it is for."""
+
+    class Parser(argparse.ArgumentParser):
+        def error(self, message):
+            raise cli._Exit(2, f"{self.prog}: error: {message}\n")
+
+        def print_help(self, file=None):
+            raise cli._Exit(0, self.prog)
+
+    parser = Parser(prog="maxca")
+    commands = parser.add_subparsers(dest="command", required=True)
+    for command, (_, _, options) in cli._COMMANDS.items():
+        sub = commands.add_parser(command)
+        for name, (kind, default, _) in options.items():
+            if kind is bool:
+                sub.add_argument(name, action="store_true")
+                continue
+            required = default is cli._REQUIRED
+            sub.add_argument(
+                name, type=int if kind is int else None, choices=kind if isinstance(kind, tuple) else None,
+                default=None if required else default, required=required,
+            )
+    return parser
+
+
+def _outcome(parse, argv):
+    # ("namespace", fields), ("help", prog) or ("error", its line).
+    try:
+        return "namespace", vars(parse(argv))
+    except cli._Exit as exc:
+        code, text = exc.args
+        if code:
+            return "error", text
+        # cli's help text opens with "usage: PROG [-h]".
+        return "help", text.removeprefix("usage: ").partition(" [-h]")[0]
+
+
+_OPTION_NAMES = sorted({name for _, _, options in cli._COMMANDS.values() for name in options} | {"--help"})
+_ARGV_VALUES = ("4", "0", "-1", "paper", "tsv", "0110", "1101", "")
+_ARGV_ODD = (
+    "-h", "-hh", "-hx", "-hhx", "-h=h", "--", "-", "-x", "-25", "-2.5", "-.5", "-1.", "-1e3", "-1 2",
+    "x", "csv", "a b", "1_0", "--rules=", "frobnicate",
+)
+
+
+def _random_argv(rng):
+    # Command and option names, their prefixes, `=` forms, '--', -h and
+    # its repeats, negative numbers and bad values. Most option names
+    # are the command's own and come with a value, so that some argv
+    # parse.
+    command = rng.choice(list(cli._COMMANDS))
+    own = list(cli._COMMANDS[command][2])
+
+    def tokens():
+        roll = rng.random()
+        if roll < 0.6:
+            name = rng.choice(own if rng.random() < 0.8 else _OPTION_NAMES)
+            if rng.random() < 0.3:
+                name = name[:rng.randint(3, len(name))]
+            if rng.random() < 0.2:
+                return [name + "=" + rng.choice(_ARGV_VALUES + _ARGV_ODD)]
+            return [name, rng.choice(_ARGV_VALUES)] if rng.random() < 0.6 else [name]
+        if roll < 0.7:
+            return [rng.choice(_ARGV_VALUES)]
+        if roll < 0.75:
+            word = rng.choice(list(cli._COMMANDS))
+            return [word[:rng.randint(1, len(word))]]
+        return [rng.choice(_ARGV_ODD)]
+
+    argv = tokens() if rng.random() < 0.1 else []
+    argv += tokens() if rng.random() < 0.1 else [command]
+    for _ in range(rng.randint(0, 4)):
+        argv += tokens()
+    return argv
 
 
 class TestNameResolution:

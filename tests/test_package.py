@@ -16,10 +16,15 @@ _SRC = os.path.dirname(os.path.dirname(maxca.__file__))
 # Stdlib modules that maxca keeps off its start-up path: `dataclasses`,
 # `inspect` and `typing` are slow to import, `importlib.resources`
 # never (the table is read with a plain `open` beside `tables`),
-# `concurrent.futures` never (the scan runs in one process), and
+# `concurrent.futures` never (the scan runs in one process),
 # `argparse`, with the `gettext` and `locale` it brings, never (`cli`
-# reads argv against its own table).
-_HEAVY = ("dataclasses", "inspect", "typing", "importlib.resources", "concurrent.futures", "argparse", "gettext", "locale")
+# reads argv against its own table), and `__future__` never (every
+# annotation is a valid expression at run time on Python 3.10, so no
+# module needs PEP 563's string annotations).
+_HEAVY = (
+    "dataclasses", "inspect", "typing", "importlib.resources", "concurrent.futures", "argparse", "gettext", "locale",
+    "__future__",
+)
 
 _PRINT_LOADED = "import sys; print(sorted(sys.modules))"
 

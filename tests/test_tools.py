@@ -94,6 +94,13 @@ def test_listing_mutants_are_killed():
     ])
 
 
+def test_argv_reader_mutants_are_killed():
+    # The reader takes a unique prefix of an option name and reads -hh
+    # as -h -h; the spelling tests and the differential test against
+    # argparse must catch a reader that does not.
+    _assert_killed(["argv-without-prefixes", "help-hh-not-repeated"])
+
+
 def test_record_mutants_are_killed():
     # A record with its own __init__ keeps it: a generated one in its
     # place drops CaState's and TableRow's validation.

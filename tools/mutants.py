@@ -181,6 +181,12 @@ MUTANTS = [
         "for n in names if n == name]",
         "tests/test_cli.py",
     ),
+    (
+        "help-hh-not-repeated", "src/maxca/cli.py",
+        'value = value.lstrip("h") or None',
+        "value = value or None",
+        "tests/test_cli.py",
+    ),
 ]
 
 
