@@ -25,16 +25,17 @@ from .gf2poly import X, _format_lsb, _pack_blocks, format_poly, parse_poly
 
 __all__ = ["main"]
 
-# The module that owns each name a handler calls, plus the four names
-# (enumerate_maxlen, order_of_x, stream_bits, pack_bits) that only the
-# benchmark's traced run (perfbench/layertrace.py) reads and wraps here.
+# The module that owns each name a handler calls, plus the five names
+# (enumerate_maxlen, enumerate_primitive, order_of_x, stream_bits,
+# pack_bits) that only the benchmark's traced run
+# (perfbench/layertrace.py) reads and wraps here.
 # A handler imports only the owners of its own names, so each command
 # compiles only the modules it runs.
 _OWNERS = {
     name: module
     for module, names in (
         ("charpoly", "RuleVector characteristic_polynomial"),
-        ("primitivity", "_order_of_x enumerate_primitive factorize_mersenne is_irreducible is_primitive order_of_x"),
+        ("primitivity", "_listing _order_of_x enumerate_primitive factorize_mersenne is_irreducible is_primitive order_of_x"),
         ("automaton", "CaState _cycle_length_jump _stream_chunks cycle_length_from pack_bits stream_bits unit_seed"),
         ("enumerator", "_maxlen_hits enumerate_maxlen"),
         ("tables", "verify_all"),
@@ -178,8 +179,12 @@ def _cmd_verify_tables(args) -> int:
 
 
 def _cmd_primpoly_list(args) -> int:
-    [enumerate_primitive] = _bound("enumerate_primitive")
-    _write_lines(map(format_poly, enumerate_primitive(args.n)))
+    [listing] = _bound("_listing")
+    # The sorted bits as binary digits are format_poly's lines, with no
+    # Gf2Poly built; sorted in place, as at n = 24 a copy holds 276,480 more.
+    polys = listing(args.n)
+    polys.sort()
+    _write_lines(map("{:b}".format, polys))
     return 0
 
 
@@ -269,26 +274,9 @@ def _help(prog: str, name: str, value: str | None, command: str | None = None):
         value = value.lstrip("h") or None
     if value is not None:
         raise _error(prog, f"argument -h/--help: ignored explicit argument {value!r}")
-    raise _Exit(0, _help_text(command))
+    from .helptext import help_text  # compiled only where help is shown
 
-
-def _help_text(command: str | None) -> str:
-    if command is None:
-        usage, heading = "maxca [-h] <command> [options]", "commands:"
-        line = "Run `maxca <command> -h` for its options."
-        rows = [(name, text) for name, (_, text, _) in _COMMANDS.items()]
-    else:
-        _, line, options = _COMMANDS[command]
-        usage, heading = f"maxca {command} [-h]", "options:"
-        rows = [("-h, --help", "show this help and exit")]
-        for name, (kind, default, text) in options.items():
-            if kind is not bool:
-                name += " {" + ",".join(kind) + "}" if isinstance(kind, tuple) else " " + name[2:].upper()
-            usage += f" {name}" if default is _REQUIRED else f" [{name}]"
-            rows.append((name, text))
-    width = max(len(left) for left, _ in rows) + 2
-    rows = [f"  {left:<{width}}{text}" for left, text in rows]
-    return "\n".join([f"usage: {usage}", "", line, "", heading, *rows, ""])
+    raise _Exit(0, help_text(_COMMANDS, _REQUIRED, command))
 
 
 def _parse(argv) -> SimpleNamespace:

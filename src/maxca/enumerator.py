@@ -14,13 +14,16 @@ then a depth-first walk over the cells from 8 on for all lanes at once.
 That walk is SIMD within a register (Fisher & Dietz, LCPC 1998): each
 diagonal's p_k is one slot of a single int, so a step is a few int
 operations for all lanes, and each leaf reads its polynomials back in
-one C call. Each hit is a (polynomial bits, mask) pair, and since a
-vector and its mirror image have one polynomial (reversal conjugates
-T), each mask is also the text value (the text, cell 0 leftmost, read
-as a binary number) of a hit with that polynomial. `_maxlen_hits`
-returns the sorted pairs, which are the output in order: `enum` prints
-them as they are, and `enumerate_maxlen` builds its records from the
-same list.
+one C call. A vector and its mirror image have one polynomial
+(reversal conjugates T), so from 16 cells on, where a leaf's lane cells
+and its top cells are disjoint, each leaf reads back only the lanes
+that hold one diagonal of each mirror pair, about half of them, and
+each hit gives its mirror too. Each hit is a (polynomial bits, mask)
+pair, and by the same symmetry each mask is also the text value (the
+text, cell 0 leftmost, read as a binary number) of a hit with that
+polynomial. `_maxlen_hits` returns the sorted pairs, which are the
+output in order: `enum` prints them as they are, and `enumerate_maxlen`
+builds its records from the same list.
 """
 
 import sys
@@ -120,6 +123,17 @@ def _scan(n: int, targets: frozenset[int]) -> list[tuple[int, int]]:
     low = (cur ^ cur >> half) & ((1 << half) - 1)
     prev = low | low << half
     cast = "BHIQ"[size.bit_length() - 1]
+    # From 16 cells on, the lane cells 0..7 and the top cells n-8..n-1
+    # are disjoint, and a leaf reads one diagonal of each mirror pair:
+    # the mirror of high | lane has the top cells reversed, t, as its
+    # lane, so the leaf reads the lanes below t, and lane t when the
+    # middle cells 8..n-9 are at most their reversal (a palindrome then
+    # is read once). Each hit also gives its mirror, rev_n(high) |
+    # rev8(lane) << (n - 8), unless that is the hit itself.
+    mirrored = n >= 2 * _LANE_CELLS
+    if mirrored:
+        tops = [_reverse_bits(lane, cells) << (n - cells) for lane in range(lanes)]
+        middle = (1 << (n - cells)) - lanes
     hits = []
     # (k, cells `cells`..k-1 as set bits, p_{k-1}, p_k).
     stack = [(cells, 0, prev, cur)]
@@ -130,13 +144,17 @@ def _scan(n: int, targets: frozenset[int]) -> list[tuple[int, int]]:
             stack.append((k + 1, high, cur, base))
             stack.append((k + 1, high | 1 << k, cur, base ^ cur))
             continue
-        # The slots read back as ints with no loop in Python: the
-        # int's bytes, viewed as an array of slot-wide items.
-        polys = memoryview(cur.to_bytes(size * lanes, sys.byteorder)).cast(cast).tolist()
-        hits += [
-            (polys[lane], high | lane)
-            for lane in compress(range(lanes), map(targets.__contains__, polys))
-        ]
+        read = lanes
+        if mirrored:
+            mirror = _reverse_bits(high, n)
+            read = (mirror & (lanes - 1)) + ((high & middle) <= (mirror & middle))
+        # The slots read back as ints with no loop in Python: the first
+        # `read` of the int's bytes, viewed as an array of slot-wide items.
+        polys = memoryview(cur.to_bytes(size * lanes, sys.byteorder))[: size * read].cast(cast).tolist()
+        found = list(compress(range(read), map(targets.__contains__, polys)))
+        hits += [(polys[lane], high | lane) for lane in found]
+        if mirrored:
+            hits += [(polys[lane], m) for lane in found if (m := mirror | tops[lane]) != high | lane]
     return hits
 
 

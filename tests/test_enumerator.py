@@ -3,6 +3,7 @@ closure, agreement with raw simulation, and the lane scan against a
 per-diagonal loop at every n from 2."""
 
 import os
+import random
 import subprocess
 import sys
 from collections import Counter
@@ -211,7 +212,7 @@ class TestRuleVectorsFor:
         with pytest.raises(ValueError):
             rule_vectors_for(parse_poly("101"))
 
-    @pytest.mark.parametrize("n", range(8, 15))
+    @pytest.mark.parametrize("n", (*range(8, 15), 16))
     def test_matches_per_diagonal_scan(self, n):
         # The first, middle and last primitive polynomial of degree n;
         # the vectors come sorted by their reversed masks.
@@ -295,6 +296,26 @@ class TestCharpolyLanes:
             assert sorted((mask, bits) for bits, mask in hits) == want
             if targets is primitive:
                 assert filter_stats(n) == FilterStats(n, 1 << n, even_weight, zero_constant, missed, len(want))
+
+    @pytest.mark.parametrize("n", (16, 17, 18))
+    def test_mirror_pairs_match_per_diagonal_scan(self, n):
+        # From 16 cells on a leaf reads only the lanes below its top
+        # cells reversed, and that lane itself by its middle cells, and
+        # each hit gives its mirror. The targets are the polynomials of
+        # seeded random diagonals, of palindromes, and of ties, whose
+        # lane is their top cells reversed, as is their mirror's.
+        rng = random.Random(n)
+        diagonals = [rng.getrandbits(n) for _ in range(64)]
+        for _ in range(64):
+            half = rng.getrandbits((n + 1) // 2)
+            diagonals.append(half | _reverse_bits(half, n))
+            lane, middle = rng.getrandbits(8), rng.getrandbits(n - 16)
+            diagonals.append(lane | middle << 8 | _reverse_bits(lane, n))
+        targets = frozenset(_charpoly_bits(d, n) for d in diagonals)
+        # Per diagonal, even-weight polynomials included: scan_per_diagonal
+        # would drop the palindromes' at n = 17.
+        want = [(mask, bits) for mask in range(1 << n) if (bits := _charpoly_bits(mask, n)) in targets]
+        assert sorted((mask, bits) for bits, mask in _scan(n, targets)) == want
 
     @pytest.mark.parametrize("n", range(2, 17))
     def test_every_degree_n_target_gives_every_diagonal(self, n):

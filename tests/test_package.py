@@ -88,6 +88,12 @@ class TestLoadContract:
         loaded = maxca_modules(_RUN_CLI, *argv)
         assert ("maxca.lanes" in loaded) == (argv[0] == "primpoly-list")
 
+    @pytest.mark.parametrize("argv", [("-h",), ("enum", "-h"), ("primpoly-list", "--help")])
+    def test_only_help_loads_helptext(self, argv):
+        # The help text compiles only where it is shown; the exact lists
+        # above hold every other command to its own modules.
+        assert maxca_modules(_RUN_CLI, *argv) == package_with("gf2poly helptext")
+
     def test_enum_does_not_load_tables(self):
         loaded = maxca_modules(_RUN_CLI, "enum", "--n", "4")
         assert loaded == package_with("gf2poly primitivity lanes charpoly enumerator")

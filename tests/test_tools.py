@@ -83,6 +83,13 @@ def test_enum_text_mutants_are_killed():
     _assert_killed(["scan-hit-drops-high-cells", "record-text-unreversed", "enum-text-unpadded"])
 
 
+def test_scan_mirror_mutants_are_killed():
+    # From 16 cells on a leaf reads one diagonal of each mirror pair:
+    # the mirror-pair oracle must catch a leaf that skips the lane equal
+    # to its top cells reversed.
+    _assert_killed(["scan-pair-tie-slot-dropped"])
+
+
 def test_listing_mutants_are_killed():
     # The listing's decimation indices, its copies of the even rows, the
     # trace phase of its m-sequence, its reciprocals and its complexity

@@ -146,6 +146,12 @@ MUTANTS = [
         "tests/test_enumerator.py",
     ),
     (
+        "scan-pair-tie-slot-dropped", "src/maxca/enumerator.py",
+        "read = (mirror & (lanes - 1)) + ((high & middle) <= (mirror & middle))",
+        "read = mirror & (lanes - 1)",
+        "tests/test_enumerator.py",
+    ),
+    (
         "lane-prev-from-one-half", "src/maxca/enumerator.py",
         "    prev = low | low << half\n",
         "    prev = low\n",
