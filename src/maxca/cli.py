@@ -14,8 +14,14 @@ Results go to stdout, diagnostics to stderr. Exit codes: 0 success
 (-h/--help too), 1 verification failure (verify-tables --strict), 2
 usage error, 141 output pipe closed by the reader (128 + SIGPIPE, as a
 shell reports).
+
+A process enters through run(), which freezes the collector after
+main() returns, so the interpreter's exit-time collections skip every
+object still alive. main() itself never freezes: a caller that runs it
+in-process keeps a normal collector.
 """
 
+import gc
 import os
 import sys
 from itertools import islice, starmap
@@ -127,7 +133,7 @@ _STEP_MAX_N = 8
 def _cmd_cycle(args) -> int:
     RuleVector, CaState, unit_seed = _bound("RuleVector", "CaState", "unit_seed")
     rv = RuleVector(args.rules)
-    seed = CaState.from_string(args.seed) if args.seed else unit_seed(rv.n)
+    seed = CaState.from_string(args.seed) if args.seed is not None else unit_seed(rv.n)
     [measure] = _bound("cycle_length_from" if rv.n <= _STEP_MAX_N else "_cycle_length_jump")
     t = measure(rv, seed, force=args.force)
     print("none" if t is None else t)
@@ -148,10 +154,10 @@ def _write_stream(f, chunks, ascii_out: bool) -> None:
 def _cmd_stream(args) -> int:
     RuleVector, CaState, unit_seed, _stream_chunks = _bound("RuleVector", "CaState", "unit_seed", "_stream_chunks")
     rv = RuleVector(args.rules)
-    seed = CaState.from_string(args.seed) if args.seed else unit_seed(rv.n)
+    seed = CaState.from_string(args.seed) if args.seed is not None else unit_seed(rv.n)
     # Validates before any output file is opened.
     chunks = _stream_chunks(rv, seed, args.bits, tap=args.tap)
-    if args.out:
+    if args.out is not None:
         with open(args.out, "wb") as f:
             _write_stream(f, chunks, args.ascii)
     else:
@@ -166,7 +172,7 @@ def _cmd_verify_tables(args) -> int:
     report = verify_all(args.n)
     # Written before any output, so a path that cannot be opened exits 2
     # with stdout empty.
-    if args.errata:
+    if args.errata is not None:
         report.write_errata(args.errata)
     for line in report.errata_lines():
         print(f"FAIL {line}")
@@ -364,5 +370,16 @@ def main(argv: list[str] | None = None) -> int:
         return 2
 
 
+def run() -> None:
+    """The process entry of the `maxca` script and `python -m maxca.cli`."""
+    code = main()
+    # The interpreter's exit-time collections would walk every object
+    # still alive, the site start-up's included; frozen objects are out
+    # of their reach. Finalization still flushes the streams and runs
+    # atexit handlers.
+    gc.freeze()
+    sys.exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -472,6 +472,15 @@ class TestArgumentParsing:
         (("--bogus", "enum", "--n", "4"), "maxca: error: unrecognized arguments: --bogus"),
         # A negative number is a value, not an option.
         (("enum", "--n", "-1"), "maxca enum: error: need at least 2 cells, got -1"),
+        # An empty value is given, not absent: no unit seed, no stdout in
+        # place of the file, no errata skipped.
+        (("cycle", "--rules", "10", "--seed", ""), "maxca cycle: error: state must be a nonempty 0/1 string: ''"),
+        (("stream", "--rules", "10", "--bits", "8", "--seed", ""),
+         "maxca stream: error: state must be a nonempty 0/1 string: ''"),
+        (("stream", "--rules", "10", "--bits", "8", "--out", ""),
+         "maxca stream: error: [Errno 2] No such file or directory: ''"),
+        (("verify-tables", "--n", "2", "--errata", ""),
+         "maxca verify-tables: error: [Errno 2] No such file or directory: ''"),
     ])
     def test_usage_error_line(self, capsys, argv, line):
         assert run_main(capsys, *argv) == (2, "", line + "\n")

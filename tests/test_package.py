@@ -1,6 +1,7 @@
 """The lazy package: `import maxca` compiles no submodule, a public name
 imports its module on first use, and each subcommand loads only the
-modules it runs."""
+modules it runs. A `maxca` process freezes the collector before it
+exits; `cli.main` called in-process does not."""
 
 import ast
 import os
@@ -39,6 +40,17 @@ except SystemExit as exc:
 {_PRINT_LOADED}
 """
 
+# Run as `python -m maxca.cli ARGS` does, then print the exit code and
+# how many objects the collector holds frozen.
+_RUN_EXIT = """
+import gc, runpy, sys
+sys.argv[0] = "maxca"
+try:
+    runpy.run_module("maxca.cli", run_name="__main__")
+except SystemExit as exc:
+    print([exc.code, gc.get_freeze_count()])
+"""
+
 # Each query with the submodules it loads: those its handler runs, no
 # others. `cycle` steps the automaton up to n = 8 and jumps above, which
 # takes the period search from `primitivity`.
@@ -54,7 +66,8 @@ _QUERY_LOADS = {
 _QUERIES = list(_QUERY_LOADS)
 
 
-def loaded_modules(code: str, *argv: str) -> list[str]:
+def child_value(code: str, *argv: str):
+    # The last line of a fresh child running code, read as a literal.
     # Without site (-S), nothing preloads the stdlib modules checked here.
     out = subprocess.run(
         [sys.executable, "-S", "-c", code, *argv],
@@ -67,7 +80,7 @@ def loaded_modules(code: str, *argv: str) -> list[str]:
 
 
 def maxca_modules(code: str, *argv: str) -> list[str]:
-    return [m for m in loaded_modules(code, *argv) if m.split(".")[0] == "maxca"]
+    return [m for m in child_value(code, *argv) if m.split(".")[0] == "maxca"]
 
 
 def package_with(submodules: str) -> list[str]:
@@ -165,14 +178,37 @@ class TestLazyApi:
 class TestNoHeavyImports:
     def test_full_load_imports_none(self):
         code = f"import sys, maxca; from maxca import *; maxca.__all__; print([m for m in {_HEAVY!r} if m in sys.modules])"
-        assert loaded_modules(code) == []
+        assert child_value(code) == []
 
     def test_enumerator_leaves_process_pool_unloaded(self):
         code = "import sys, maxca.enumerator; print(['concurrent.futures' in sys.modules])"
-        assert loaded_modules(code) == [False]
+        assert child_value(code) == [False]
 
     @pytest.mark.parametrize(
         "argv", [*_QUERIES, ("enum", "--n", "6"), ("verify-tables", "--n", "4"), ("enum", "--n", "10", "--jobs", "4")]
     )
     def test_cli_child_imports_none(self, argv):
-        assert set(loaded_modules(_RUN_CLI, *argv)) & set(_HEAVY) == set()
+        assert set(child_value(_RUN_CLI, *argv)) & set(_HEAVY) == set()
+
+
+class TestExitPath:
+    @pytest.mark.parametrize("argv, code", [
+        (("charpoly", "--rules", "00000110"), 0),
+        (("verify-tables", "--strict"), 1),
+        (("charpoly",), 2),
+    ])
+    def test_process_freezes_and_exits_with_mains_code(self, argv, code):
+        # The exit-time collections then skip every object still alive.
+        exit_code, frozen = child_value(_RUN_EXIT, *argv)
+        assert exit_code == code
+        assert frozen > 0
+
+    def test_main_in_process_does_not_freeze(self):
+        code = "import gc, maxca.cli; print([maxca.cli.main(['charpoly', '--rules', '00000110']), gc.get_freeze_count()])"
+        assert child_value(code) == [0, 0]
+
+    def test_script_runs_the_same_entry(self):
+        # A text match: tomllib needs Python 3.11, and the floor is 3.10.
+        with open(os.path.join(os.path.dirname(_SRC), "pyproject.toml")) as f:
+            scripts = f.read().partition("[project.scripts]\n")[2]
+        assert scripts.startswith('maxca = "maxca.cli:run"\n')

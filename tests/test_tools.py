@@ -15,13 +15,15 @@ def test_code_lines_total_is_the_sum_of_the_modules():
     )
     assert proc.returncode == 0, proc.stderr
     rows = [line.split() for line in proc.stdout.splitlines()]
-    *modules, (total, label) = rows
+    *modules, (total, nodes_total, label) = rows
     assert label == "total"
-    assert sorted(name for _, name in modules) == sorted(
+    assert sorted(name for *_, name in modules) == sorted(
         name for name in os.listdir(os.path.join(_REPO, "src", "maxca")) if name.endswith(".py")
     )
-    assert all(int(count) > 0 for count, _ in modules)
-    assert int(total) == sum(int(count) for count, _ in modules)
+    # A module's AST holds more nodes than the module has code lines.
+    assert all(0 < int(count) < int(nodes) for count, nodes, _ in modules)
+    assert int(total) == sum(int(count) for count, _, _ in modules)
+    assert int(nodes_total) == sum(int(nodes) for _, nodes, _ in modules)
 
 
 def test_digest_commands_only_grow_at_the_end():
@@ -106,6 +108,12 @@ def test_argv_reader_mutants_are_killed():
     # as -h -h; the spelling tests and the differential test against
     # argparse must catch a reader that does not.
     _assert_killed(["argv-without-prefixes", "help-hh-not-repeated"])
+
+
+def test_exit_mutant_is_killed():
+    # A `maxca` process freezes the collector before it exits; the
+    # exit-path test must catch an entry that does not.
+    _assert_killed(["exit-without-freeze"])
 
 
 def test_record_mutants_are_killed():

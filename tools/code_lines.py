@@ -1,4 +1,4 @@
-"""Code lines of the maxca package, per module and in total.
+"""Code lines and AST nodes of the maxca package, per module and in total.
 
     python3 tools/code_lines.py [SRC]
 
@@ -7,6 +7,11 @@ it defaults to the src/ next to this script. A code line is a line of a
 `maxca/*.py` module that holds a token of code: blank lines, comment
 lines and the lines of docstrings (a string that is a statement of its
 own) do not count. A statement that spans lines counts each of them.
+
+Each line reads: code lines, AST nodes (every node `ast.walk` visits,
+the module's own included), module name. How long a process takes to
+compile a module from source grows with its node count, so the nodes
+of the modules a command loads size its compile cost.
 """
 
 from __future__ import annotations
@@ -34,6 +39,11 @@ def code_lines(source: str) -> int:
     return len(lines - docstrings)
 
 
+def ast_nodes(source: str) -> int:
+    """The number of nodes in one module's AST."""
+    return sum(1 for _ in ast.walk(ast.parse(source)))
+
+
 def main(argv: list[str]) -> int:
     if len(argv) > 1:
         print("usage: code_lines.py [SRC]", file=sys.stderr)
@@ -42,14 +52,16 @@ def main(argv: list[str]) -> int:
     if not os.path.isdir(package):
         print(f"code_lines.py: no maxca package under {os.path.dirname(package)}", file=sys.stderr)
         return 2
-    total = 0
+    total = nodes_total = 0
     for name in sorted(os.listdir(package)):
         if name.endswith(".py"):
             with open(os.path.join(package, name)) as f:
-                count = code_lines(f.read())
-            print(f"{count:6d}  {name}")
+                source = f.read()
+            count, nodes = code_lines(source), ast_nodes(source)
+            print(f"{count:6d} {nodes:7d}  {name}")
             total += count
-    print(f"{total:6d}  total")
+            nodes_total += nodes
+    print(f"{total:6d} {nodes_total:7d}  total")
     return 0
 
 

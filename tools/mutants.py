@@ -4,8 +4,9 @@ the test module named with it must fail on that copy.
     python3 tools/mutants.py [NAME ...]
 
 Runs the named mutants, or all of them. For each, it copies src/,
-tests/ and perfbench/ (one test reads perfbench/layertrace.py) into a
-fresh temporary directory, replaces the one occurrence of the old text
+tests/, perfbench/ (one test reads perfbench/layertrace.py) and
+pyproject.toml (one test reads its script entry) into a fresh
+temporary directory, replaces the one occurrence of the old text
 in the file with the new text, runs `python -m pytest -q -x MODULE`
 there with PYTHONPATH at the copy's src/, and prints the name with
 `killed` (the module failed) or `survived` (it passed). It exits 1 if
@@ -193,6 +194,12 @@ MUTANTS = [
         "value = value or None",
         "tests/test_cli.py",
     ),
+    (
+        "exit-without-freeze", "src/maxca/cli.py",
+        "    gc.freeze()\n",
+        "",
+        "tests/test_package.py",
+    ),
 ]
 
 
@@ -219,6 +226,7 @@ def run(mutant) -> str:
         ignore = shutil.ignore_patterns("__pycache__", ".hypothesis", ".pytest_cache")
         for d in _COPIED:
             shutil.copytree(os.path.join(REPO, d), os.path.join(tmp, d), ignore=ignore)
+        shutil.copy(os.path.join(REPO, "pyproject.toml"), tmp)
         source = _read(tmp, path)
         with open(os.path.join(tmp, path), "w", encoding="utf-8") as f:
             f.write(source.replace(old, new))
