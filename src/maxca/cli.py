@@ -17,8 +17,9 @@ shell reports).
 
 A process enters through run(), which freezes the collector after
 main() returns, so the interpreter's exit-time collections skip every
-object still alive. main() itself never freezes: a caller that runs it
-in-process keeps a normal collector.
+object still alive, and which ends an interrupted process by SIGINT
+with no traceback. main() itself does neither: a caller that runs it
+in-process keeps a normal collector and gets the KeyboardInterrupt.
 """
 
 import gc
@@ -372,7 +373,16 @@ def main(argv: list[str] | None = None) -> int:
 
 def run() -> None:
     """The process entry of the `maxca` script and `python -m maxca.cli`."""
-    code = main()
+    try:
+        code = main()
+    except KeyboardInterrupt:
+        # End as CPython ends on an uncaught interrupt, killed by
+        # SIGINT, so a shell sees the same status, but print no
+        # traceback.
+        import signal
+
+        signal.signal(signal.SIGINT, signal.SIG_DFL)
+        os.kill(os.getpid(), signal.SIGINT)
     # The interpreter's exit-time collections would walk every object
     # still alive, the site start-up's included; frozen objects are out
     # of their reach. Finalization still flushes the streams and runs

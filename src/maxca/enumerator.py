@@ -3,8 +3,9 @@
 Scans every one of the 2^n main diagonals of the tridiagonal transition
 matrix, computes the characteristic polynomial, and keeps the diagonals
 whose polynomial is in the set of primitive polynomials of degree n.
-That set is built once, by decimation (`enumerate_primitive`), so no
-order test runs per diagonal, and the scan returns only its hits. How
+That set is built once, by decimation (`primitivity._listing`, the
+bits that `enumerate_primitive` sorts into records), so no order test
+runs per diagonal, and the scan returns only its hits. How
 the diagonals fall through the rejection cascade (even coefficient
 weight, zero constant term, not primitive, hit) needs no scan: each
 count has a closed form (`filter_stats`). One function, `_scan`, runs
@@ -45,10 +46,10 @@ __all__ = [
     "filter_stats",
 ]
 
-# The listing and the scan, all that `enum` runs, take about 0.5 s at
-# n = 20 on a 2-vCPU VM (enumerate_maxlen's records add about 0.3 s),
-# and the cost roughly doubles with each cell; beyond it callers must
-# opt in explicitly.
+# The listing and the scan, all that `enum` runs, take about 0.15 s at
+# n = 20 in-process on one CPU of a 2-vCPU VM (enumerate_maxlen's
+# records add about 0.15 s), and the cost roughly doubles with each
+# cell; beyond it callers must opt in explicitly.
 EXHAUSTIVE_CAP = 20
 
 # The most cells that the scan's lanes set: lane l sets cells

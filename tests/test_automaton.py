@@ -23,6 +23,7 @@ from maxca.automaton import (
 from maxca.charpoly import RuleVector
 from maxca.gf2poly import _BLOCK_BITS
 from maxca.primitivity import MAX_FACTOR_N
+from references import jump_cases
 
 
 def step_str(rules: str, state: str) -> str:
@@ -162,13 +163,11 @@ class TestCycleLengthJump:
     def test_exhaustive_small_n(self, n):
         # Every rule vector with every nonzero seed, singular T included.
         nones = 0
-        for mask in range(1 << n):
-            rv = RuleVector.from_mask(mask, n)
-            for bits in range(1, 1 << n):
-                seed = CaState(bits=bits, n=n)
-                t = cycle_length_from(rv, seed)
-                assert _cycle_length_jump(rv, seed) == t
-                nones += t is None
+        for mask, bits in jump_cases(n):
+            rv, seed = RuleVector.from_mask(mask, n), CaState(bits=bits, n=n)
+            t = cycle_length_from(rv, seed)
+            assert _cycle_length_jump(rv, seed) == t
+            nones += t is None
         assert nones > 0
 
     @settings(deadline=None)

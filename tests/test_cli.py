@@ -481,6 +481,12 @@ class TestArgumentParsing:
          "maxca stream: error: [Errno 2] No such file or directory: ''"),
         (("verify-tables", "--n", "2", "--errata", ""),
          "maxca verify-tables: error: [Errno 2] No such file or directory: ''"),
+        # `--opt=--` gives the value "--", which each option then reads.
+        (("charpoly", "--rules=--"), "maxca charpoly: error: rule vector must be a nonempty 0/1 string: '--'"),
+        (("enum", "--n=--"), "maxca enum: error: argument --n: invalid int value: '--'"),
+        (("enum", "--n", "4", "--format=--"),
+         "maxca enum: error: argument --format: invalid choice: '--' (choose from 'paper', 'tsv')"),
+        (("stream", "--rules", "10", "--bits=--"), "maxca stream: error: argument --bits: invalid int value: '--'"),
     ])
     def test_usage_error_line(self, capsys, argv, line):
         assert run_main(capsys, *argv) == (2, "", line + "\n")

@@ -18,7 +18,7 @@ from maxca.primitivity import (
     order_of_x,
     primitive_count,
 )
-from test_primitivity import _berlekamp_massey
+from references import berlekamp_massey
 
 
 def _window(rv, seed, tap, start, count):
@@ -49,7 +49,7 @@ def _check_window(rv, seed, tap, start):
     n = rv.n
     p = characteristic_polynomial(rv)
     bits, ends = _window(rv, seed, tap, start, 2 * n)
-    found = _berlekamp_massey(bits)
+    found = berlekamp_massey(bits)
     assert _mod(p.bits, found) == 0
     if is_irreducible(p):
         assert found == p.bits

@@ -25,35 +25,11 @@ from maxca.enumerator import (
 )
 from maxca.gf2poly import _reverse_bits, format_poly, parse_poly, weight
 from maxca.primitivity import MAX_FACTOR_N, enumerate_primitive, factorize_mersenne, is_primitive, primitive_count
+from references import odd_weight, per_diagonal
 
 
 def entry_strings(entries):
     return [(format_poly(e.polynomial), str(e.rule_vector)) for e in entries]
-
-
-def odd_weight(n):
-    # Every polynomial of degree n with odd weight and constant term 1:
-    # the targets that every diagonal passing the cascade hits.
-    return frozenset(bits for bits in range((1 << n) | 1, 1 << (n + 1), 2) if bits.bit_count() % 2)
-
-
-def scan_per_diagonal(n, targets):
-    # The reference for the lane scan: one charpoly per diagonal, in
-    # mask order, with the hits and the counts (even weight, zero
-    # constant, not in targets) of the rest.
-    even_weight = zero_constant = missed = 0
-    hits = []
-    for mask in range(1 << n):
-        bits = _charpoly_bits(mask, n)
-        if bits.bit_count() % 2 == 0:
-            even_weight += 1
-        elif bits & 1 == 0:
-            zero_constant += 1
-        elif bits in targets:
-            hits.append((mask, bits))
-        else:
-            missed += 1
-    return hits, (even_weight, zero_constant, missed)
 
 
 def maxlen_by_own_text(n):
@@ -217,8 +193,9 @@ class TestRuleVectorsFor:
         # The first, middle and last primitive polynomial of degree n;
         # the vectors come sorted by their reversed masks.
         primitive = enumerate_primitive(n)
-        for p in (primitive[0], primitive[len(primitive) // 2], primitive[-1]):
-            hits, _ = scan_per_diagonal(n, {p.bits})
+        chosen = (primitive[0], primitive[len(primitive) // 2], primitive[-1])
+        hit_lists, _ = per_diagonal(n, [{p.bits} for p in chosen])
+        for p, hits in zip(chosen, hit_lists):
             hits.sort(key=lambda hit: _reverse_bits(hit[0], n))
             assert rule_vectors_for(p) == [RuleVector.from_mask(mask, n) for mask, _ in hits]
 
@@ -246,10 +223,8 @@ class TestFilterStats:
     def test_each_count_matches_per_diagonal_scan(self, n):
         # Each field in its place, below 8 cells and from 8 on;
         # TestCharpolyLanes goes on to n = 18.
-        hits, (even_weight, zero_constant, missed) = scan_per_diagonal(n, _primitive_set(n))
-        assert filter_stats(n) == FilterStats(
-            n, 1 << n, even_weight, zero_constant, missed, len(hits)
-        )
+        _, cascade = per_diagonal(n, [_primitive_set(n)])
+        assert filter_stats(n) == FilterStats(n, 1 << n, *cascade)
 
     def test_counts_match_transfer_matrix(self):
         # The closed forms against the transfer matrix, and two rule
@@ -289,13 +264,11 @@ class TestCharpolyLanes:
         # polynomial, which every lane that passes the cascade hits, so
         # every lane read back is checked. The oracle's counts for the
         # primitive set are filter_stats's closed forms.
-        primitive = _primitive_set(n)
-        for targets in (primitive, odd_weight(n)):
-            hits = _scan(n, targets)
-            want, (even_weight, zero_constant, missed) = scan_per_diagonal(n, targets)
-            assert sorted((mask, bits) for bits, mask in hits) == want
-            if targets is primitive:
-                assert filter_stats(n) == FilterStats(n, 1 << n, even_weight, zero_constant, missed, len(want))
+        target_sets = [_primitive_set(n), odd_weight(n)]
+        hits, cascade = per_diagonal(n, target_sets)
+        for targets, want in zip(target_sets, hits):
+            assert sorted((mask, bits) for bits, mask in _scan(n, targets)) == want
+        assert filter_stats(n) == FilterStats(n, 1 << n, *cascade)
 
     @pytest.mark.parametrize("n", (16, 17, 18))
     def test_mirror_pairs_match_per_diagonal_scan(self, n):
@@ -312,9 +285,7 @@ class TestCharpolyLanes:
             lane, middle = rng.getrandbits(8), rng.getrandbits(n - 16)
             diagonals.append(lane | middle << 8 | _reverse_bits(lane, n))
         targets = frozenset(_charpoly_bits(d, n) for d in diagonals)
-        # Per diagonal, even-weight polynomials included: scan_per_diagonal
-        # would drop the palindromes' at n = 17.
-        want = [(mask, bits) for mask in range(1 << n) if (bits := _charpoly_bits(mask, n)) in targets]
+        [want], _ = per_diagonal(n, [targets])
         assert sorted((mask, bits) for bits, mask in _scan(n, targets)) == want
 
     @pytest.mark.parametrize("n", range(2, 17))

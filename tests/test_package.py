@@ -1,10 +1,12 @@
 """The lazy package: `import maxca` compiles no submodule, a public name
 imports its module on first use, and each subcommand loads only the
 modules it runs. A `maxca` process freezes the collector before it
-exits; `cli.main` called in-process does not."""
+exits, and ends by SIGINT with no traceback when interrupted; `cli.main`
+called in-process does neither."""
 
 import ast
 import os
+import signal
 import subprocess
 import sys
 
@@ -206,6 +208,28 @@ class TestExitPath:
     def test_main_in_process_does_not_freeze(self):
         code = "import gc, maxca.cli; print([maxca.cli.main(['charpoly', '--rules', '00000110']), gc.get_freeze_count()])"
         assert child_value(code) == [0, 0]
+
+    def test_interrupt_ends_by_sigint_without_a_traceback(self):
+        # Ctrl-C in a shell: the child dies by SIGINT, as CPython ends on
+        # an uncaught interrupt, but writes nothing to stderr. SIGINT is
+        # reset in the child, since a parent run in the background may
+        # ignore it.
+        argv = ["stream", "--rules", "00000110", "--bits", "1099511627776", "--ascii"]
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "maxca.cli", *argv],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env={**os.environ, "PYTHONPATH": _SRC},
+            preexec_fn=lambda: signal.signal(signal.SIGINT, signal.SIG_DFL),
+        )
+        try:
+            proc.stdout.readline()
+            proc.send_signal(signal.SIGINT)
+            _, err = proc.communicate(timeout=60)
+        finally:
+            proc.kill()
+        assert proc.returncode == -signal.SIGINT
+        assert err == b""
 
     def test_script_runs_the_same_entry(self):
         # A text match: tomllib needs Python 3.11, and the floor is 3.10.

@@ -8,7 +8,7 @@ import os
 
 import pytest
 
-from maxca.gf2poly import Gf2Poly, _reverse_bits, format_poly, mod_reduce, mul, parse_poly, pow_x_mod
+from maxca.gf2poly import Gf2Poly, format_poly, mod_reduce, mul, parse_poly, pow_x_mod
 from maxca.primitivity import (
     MAX_FACTOR_N,
     _period,
@@ -27,6 +27,7 @@ from maxca.lanes import (
     _pair_leaders,
     _primitive_bits,
 )
+from references import berlekamp_massey, filter_primitive
 
 
 def P(s: str) -> Gf2Poly:
@@ -40,17 +41,6 @@ def _is_prime(k: int) -> bool:
         if k % d == 0:
             return False
     return True
-
-
-def _filter_primitive(n: int) -> list[int]:
-    """The candidate loop that decimation replaced: odd weight, constant
-    term set, then the full order test."""
-    f = factorize_mersenne(n)
-    return [
-        bits
-        for bits in range((1 << n) | 1, 1 << (n + 1), 2)
-        if bits.bit_count() % 2 == 1 and is_primitive(Gf2Poly(bits), f)
-    ]
 
 
 def _lfsr(p: int, seed: list[int], count: int) -> list[int]:
@@ -301,44 +291,20 @@ class TestEnumeratePrimitive:
 
     @pytest.mark.parametrize("n", range(2, 15))
     def test_matches_filter_oracle(self, n):
-        assert [p.bits for p in enumerate_primitive(n)] == _filter_primitive(n)
-
-
-def _berlekamp_massey(bits) -> int:
-    """Characteristic polynomial of the shortest linear recurrence that
-    generates the 0/1 sequence `bits`, as coefficient bits.
-
-    A sequence of linear complexity L is pinned down by its first 2L
-    terms. The all-zero sequence gives 1 (degree 0). The test oracle
-    of the bit-sliced pass `_massey_lanes`, which the listing runs.
-    """
-    conn, prev, length, gap, window = 1, 1, 0, 1, 0
-    for i, bit in enumerate(bits):
-        # Bit j of window is s[i - j]; bit j of conn is the connection
-        # coefficient c_j, so the discrepancy is their dot product.
-        window = (window << 1) | bit
-        if (conn & window).bit_count() & 1:
-            if 2 * length <= i:
-                conn, prev = conn ^ (prev << gap), conn
-                length, gap = i + 1 - length, 1
-                continue
-            conn ^= prev << gap
-        gap += 1
-    # x^L * C(1/x): the connection polynomial read backwards.
-    return _reverse_bits(conn, length + 1)
+        assert [p.bits for p in enumerate_primitive(n)] == filter_primitive(n)
 
 
 class TestDecimationParts:
     def test_berlekamp_massey_known_lfsr(self):
         # x^4 + x^3 + 1 and its reciprocal x^4 + x + 1, each from the
         # impulse seed: BM must return the recurrence, not its mirror.
-        assert _berlekamp_massey([1, 0, 0, 0, 1, 1, 1, 1]) == 0b11001
-        assert _berlekamp_massey([1, 0, 0, 0, 1, 0, 0, 1]) == 0b10011
+        assert berlekamp_massey([1, 0, 0, 0, 1, 1, 1, 1]) == 0b11001
+        assert berlekamp_massey([1, 0, 0, 0, 1, 0, 0, 1]) == 0b10011
 
     def test_berlekamp_massey_low_complexity(self):
-        assert _berlekamp_massey([0] * 8) == 0b1
-        assert _berlekamp_massey([1] * 8) == 0b11
-        assert _berlekamp_massey([1, 1, 0] * 3) == 0b111
+        assert berlekamp_massey([0] * 8) == 0b1
+        assert berlekamp_massey([1] * 8) == 0b11
+        assert berlekamp_massey([1, 1, 0] * 3) == 0b111
 
     def test_berlekamp_massey_every_irreducible(self):
         # 2n terms of any nonzero sequence with an irreducible degree-n
@@ -347,7 +313,7 @@ class TestDecimationParts:
             for bits in range(1 << n, 1 << (n + 1)):
                 if is_irreducible(Gf2Poly(bits)):
                     seq = _lfsr(bits, [0] * (n - 1) + [1], 2 * n)
-                    assert _berlekamp_massey(seq) == bits, (n, bits)
+                    assert berlekamp_massey(seq) == bits, (n, bits)
 
     @pytest.mark.parametrize("n", range(2, 17))
     def test_m_sequence_is_in_its_trace_phase(self, n):
@@ -447,7 +413,7 @@ class TestMasseyLanes:
         words = _decimations(digits, period, leaders, 2 * n)
         terms = [_decimated(digits, k, n) for k in leaders]
         assert words == [sum(bits[i] << lane for lane, bits in enumerate(terms)) for i in range(2 * n)]
-        assert _massey_lanes(words, n, len(leaders)) == [_berlekamp_massey(bits) for bits in terms]
+        assert _massey_lanes(words, n, len(leaders)) == [berlekamp_massey(bits) for bits in terms]
 
     @pytest.mark.parametrize(
         "lane",
@@ -463,7 +429,7 @@ class TestMasseyLanes:
         leaders = _leaders(n)
         words = _decimations(_digits(0b100011101, n), period, leaders, 2 * n)
         assert _massey_lanes(words, n, len(leaders))  # every coprime lane passes
-        assert _berlekamp_massey(lane).bit_length() - 1 != n
+        assert berlekamp_massey(lane).bit_length() - 1 != n
         words = [word & ~1 | bit for word, bit in zip(words, lane)]
         with pytest.raises(RuntimeError, match="linear complexity"):
             _massey_lanes(words, n, len(leaders))

@@ -5,6 +5,8 @@ import os
 import subprocess
 import sys
 
+import references
+
 _REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
@@ -42,16 +44,16 @@ def test_digest_commands_only_grow_at_the_end():
     assert proc.stdout.split() == ["558", "d2fdb3b637b4156acce9e2f0617e083b42f41af165adc34236d89ef4686a7a1b"]
 
 
-def _mutants():
-    # tools/mutants.py, loaded from its file.
-    spec = importlib.util.spec_from_file_location("_mutants_for_tests", os.path.join(_REPO, "tools", "mutants.py"))
+def _tool(name):
+    # tools/<name>.py, loaded from its file.
+    spec = importlib.util.spec_from_file_location(f"_{name}_for_tests", os.path.join(_REPO, "tools", f"{name}.py"))
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
 
 
 def test_every_mutant_old_text_occurs_once():
-    mutants = _mutants()
+    mutants = _tool("mutants")
     assert mutants.MUTANTS
     assert len({m[0] for m in mutants.MUTANTS}) == len(mutants.MUTANTS)
     assert mutants.misplaced() == []
@@ -116,6 +118,12 @@ def test_exit_mutant_is_killed():
     _assert_killed(["exit-without-freeze"])
 
 
+def test_interrupt_mutant_is_killed():
+    # An interrupted `maxca` process ends by SIGINT with no traceback;
+    # the exit-path test must catch an entry that lets the interrupt out.
+    _assert_killed(["interrupt-not-caught"])
+
+
 def test_record_mutants_are_killed():
     # A record with its own __init__ keeps it: a generated one in its
     # place drops CaState's and TableRow's validation.
@@ -150,9 +158,7 @@ def test_oracles_report_a_mismatch(monkeypatch, capsys):
     # first polynomial the listing pair only, filter_stats that counts
     # a survivor as not primitive the filter pair only, and a block
     # stream that drops its last chunk the stream pair only.
-    spec = importlib.util.spec_from_file_location("_oracles_for_tests", os.path.join(_REPO, "tools", "oracles.py"))
-    oracles = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(oracles)
+    oracles = _tool("oracles")
     scan, jump, listing = oracles._scan, oracles._cycle_length_jump, oracles.enumerate_primitive
     stats, chunks, FilterStats = oracles.filter_stats, oracles._stream_chunks, oracles.FilterStats
     for name, broken, bad in (
@@ -173,3 +179,11 @@ def test_oracles_report_a_mismatch(monkeypatch, capsys):
             assert oracles.main(["--max-n", "3"]) == 1
         rows = [line.split("\t")[:3] for line in capsys.readouterr().out.splitlines()]
         assert rows == [[pair, str(n), "MISMATCH" if pair == bad else "ok"] for pair, n in _oracle_lines(3)]
+
+
+def test_oracles_use_the_tests_references():
+    # One copy of each slow reference: the full-range run checks the
+    # oracle that the tests check.
+    oracles = _tool("oracles")
+    for name in ("per_diagonal", "filter_primitive", "jump_cases"):
+        assert getattr(oracles, name) is getattr(references, name), name

@@ -200,6 +200,12 @@ MUTANTS = [
         "",
         "tests/test_package.py",
     ),
+    (
+        "interrupt-not-caught", "src/maxca/cli.py",
+        "    try:\n        code = main()\n    except KeyboardInterrupt:\n",
+        "    code = main()\n    if False:\n",
+        "tests/test_package.py",
+    ),
 ]
 
 

@@ -23,8 +23,8 @@ oracle's side of what was compared, tab-separated. The pairs:
           and 100 seeded random (rule vector, seed) pairs at each n
           from 9, so singular T and reducible charpolys occur.
     listing  primitivity.enumerate_primitive against the order test
-             (is_primitive) on every odd-weight polynomial of degree n,
-             as the ascending polynomial bits that pass it, to n = 18.
+             (is_primitive) on every odd-weight polynomial of degree n
+             with constant term 1, as the ascending polynomial bits that pass it, to n = 18.
     filter  enumerator.filter_stats's closed forms against the counts
             of the rejection cascade (even weight, zero constant, not
             primitive, survivors) that the scan pair's per-diagonal
@@ -35,9 +35,10 @@ oracle's side of what was compared, tab-separated. The pairs:
             case runs to 786,432 bits, four times the n * 65,536 after
             which the block kernel's window of 2n blocks slides.
 
-It runs the maxca in the src/ next to it, `enum` as a child process. It
-exits 1 after the last line if any pair mismatched, 2 on a usage error.
-The full run takes about 40 s on one CPU.
+It runs the maxca in the src/ next to it, `enum` as a child process,
+against the slow references of tests/references.py, which the tests
+use too. It exits 1 after the last line if any pair mismatched, 2 on a
+usage error. The full run takes about 40 s on one CPU.
 """
 
 from __future__ import annotations
@@ -49,48 +50,25 @@ import random
 import subprocess
 import sys
 
-HERE = os.path.dirname(os.path.abspath(__file__))
-SRC = os.path.join(os.path.dirname(HERE), "src")
-sys.path.insert(0, SRC)
+REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+SRC = os.path.join(REPO, "src")
+sys.path[:0] = [SRC, os.path.join(REPO, "tests")]
 
 from maxca.automaton import CaState, _cycle_length_jump, _stream_chunks, cycle_length_from, stream_bits  # noqa: E402
-from maxca.charpoly import RuleVector, _charpoly_bits  # noqa: E402
+from maxca.charpoly import RuleVector  # noqa: E402
 from maxca.enumerator import FilterStats, _primitive_set, _scan, filter_stats  # noqa: E402
 from maxca.gf2poly import _BLOCK_BITS, MAX_DEGREE, Gf2Poly, format_poly  # noqa: E402
-from maxca.primitivity import enumerate_primitive, is_primitive  # noqa: E402
+from maxca.primitivity import enumerate_primitive  # noqa: E402
+from references import filter_primitive, jump_cases, per_diagonal  # noqa: E402
 
 MAX_N = 20
 # Every polynomial of degree n is a target set up to this n.
 _EVERY_MAX_N = 16
-# The jump sees every (rule vector, seed) pair up to this n.
-_JUMP_EVERY_MAX_N = 7
 # The listing is checked against the order-test filter up to this n.
 _LISTING_MAX_N = 18
 # The stream pair's case at this n runs through the block kernel's
 # sliding window; the others stop at 4,096 bits, inside its doubling.
 _STREAM_SLIDE_N = 3
-
-
-def per_diagonal(n: int, target_sets: list[frozenset[int]]) -> tuple[list[list[tuple[int, int]]], list[int]]:
-    """One charpoly per diagonal, in mask order: for each target set,
-    the (mask, polynomial bits) of the diagonals whose polynomial is in
-    it, and how many diagonals each step of the rejection cascade takes
-    (even weight, zero constant, not primitive, survivors), the first
-    target set being the primitive polynomials."""
-    hits = [[] for _ in target_sets]
-    cascade = [0, 0, 0, 0]
-    for mask in range(1 << n):
-        bits = _charpoly_bits(mask, n)
-        for found, targets in zip(hits, target_sets):
-            if bits in targets:
-                found.append((mask, bits))
-        if not bits.bit_count() & 1:
-            cascade[0] += 1
-        elif not bits & 1:
-            cascade[1] += 1
-        else:
-            cascade[3 if bits in target_sets[0] else 2] += 1
-    return hits, cascade
 
 
 def check_scan(n: int, primitive: frozenset[int]) -> tuple[bool, list, list[int]]:
@@ -123,17 +101,6 @@ def check_enum(n: int, hits: list[tuple[int, int]]) -> tuple[bool, str]:
     return same, want
 
 
-def jump_cases(n: int) -> list[tuple[int, int]]:
-    """The (mask, seed bits) pairs that the jump pair checks at n; the
-    random ones are seeded with n."""
-    if n <= _JUMP_EVERY_MAX_N:
-        return [(mask, bits) for mask in range(1 << n) for bits in range(1, 1 << n)]
-    rng = random.Random(n)
-    if n == _JUMP_EVERY_MAX_N + 1:
-        return [(mask, bits) for mask in range(1 << n) for bits in (1, *(rng.randrange(1, 1 << n) for _ in range(3)))]
-    return [(rng.randrange(1 << n), rng.randrange(1, 1 << n)) for _ in range(100)]
-
-
 def check_jump(n: int) -> tuple[bool, list]:
     """Whether the jump measures what raw simulation does on every case,
     and the simulated lengths (None where the seed never recurs)."""
@@ -148,9 +115,9 @@ def check_jump(n: int) -> tuple[bool, list]:
 
 
 def check_listing(n: int) -> tuple[bool, list[int]]:
-    """Whether enumerate_primitive lists exactly the odd-weight
-    polynomials of degree n that pass the order test, and their bits."""
-    want = [bits for bits in range(1 << n, 1 << (n + 1)) if bits.bit_count() % 2 and is_primitive(Gf2Poly(bits))]
+    """Whether enumerate_primitive lists exactly the polynomials that
+    pass the order test, and their bits."""
+    want = filter_primitive(n)
     return [p.bits for p in enumerate_primitive(n)] == want, want
 
 
